@@ -1,9 +1,10 @@
 """Exact q-series engine for residue-class partition biases.
 
-Exact truncated power-series arithmetic over integer, rational and marker
-coefficient domains; brute-force partition oracles; three independent
-bias-sequence engines with inequality/threshold verifications; and the
-asymptotic constants and predictions attached to the symmetric cases.
+Exact truncated power-series arithmetic over integer and rational
+coefficient domains, with every truncated q-product built by one kernel;
+brute-force partition oracles; three independent bias-sequence engines
+with inequality/threshold verifications; and the asymptotic constants and
+predictions attached to the symmetric cases.
 """
 
 from .asymptotics import (
@@ -70,8 +71,6 @@ from .series import (
     NumericValue,
     TruncatedSeries,
     evaluate_numeric,
-    euler_product,
-    pochhammer_finite,
     pochhammer_product,
     theta_partial,
 )

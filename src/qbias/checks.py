@@ -15,19 +15,15 @@ from dataclasses import dataclass, field
 
 from .biasspec import BiasSpec
 from .engine import (
-    _binom_div,
-    _binom_mul,
-    _mul_trunc,
-    _scaled_weights,
-    _ungrade,
+    _prefactor_graded,
     bias_series_dp,
     bias_series_gf,
     compare_bias,
     monotonicity_check,
     symmetric_distinct_pair,
 )
+from .kernel import div1, mul1, qprod, scaled_weights, ungrade
 from .scalars import (
-    RATIONAL,
     INTEGER,
     InvalidParameterError,
     format_rational,
@@ -137,7 +133,7 @@ def _graded_weight_ladder_sum(P, Q, D, s, m, exp_mult, N):
     # ladder starts at k = 0: term q^{exp_mult} / (1 - q^s)
     term = [0] * (N + 1)
     term[0] = 1
-    _binom_div(term, s, 1, N)
+    div1(term, s, 1, N)
     k = 0
     while exp_mult * (k + 1) <= N:
         off = exp_mult * (k + 1)
@@ -168,7 +164,7 @@ def _graded_weight_ladder_sum(P, Q, D, s, m, exp_mult, N):
             term = nxt
         else:
             term = [P * v for v in term]
-        _binom_div(term, s + (k + 1) * m, 1, N)
+        div1(term, s + (k + 1) * m, 1, N)
         k += 1
         if not any(term):
             break
@@ -181,33 +177,11 @@ def _expand_f_series(params, N):
     _require(1 <= a < b <= m, "need 1 <= a < b <= m")
     _require(x >= 1, "need x >= 1")
     _require((a, b) != (1, 2), "the claim excludes (a, b) = (1, 2)")
-    P, Q, D = _scaled_weights(x, y)
-    co = [0] * (N + 1)
-    co[0] = 1
-    if Q:
-        pw = 1
-        for e in range(1, N + 1):
-            _binom_mul(co, e, Q * pw, N)
-            pw *= D
-    if P:
-        pw = 1
-        for e in range(1, N + 1):
-            _binom_div(co, e, P * pw, N)
-            pw *= D
-    for e0 in (a, b):
-        if P:
-            for e in range(e0, N + 1, m):
-                _binom_mul(co, e, -P * D ** (e - 1), N)
-        if Q:
-            for e in range(e0, N + 1, m):
-                _binom_div(co, e, -Q * D ** (e - 1), N)
+    P, Q, D = scaled_weights(x, y)
+    co = list(_prefactor_graded(a, b, m, P, Q, D, N))
     # * (1 - q^{b-a}); grading of q^{b-a} is D^{b-a}
-    upper = [0] * (N + 1)
-    e = b - a
-    for n in range(N, e - 1, -1):
-        co[n] -= (D**e) * co[n - e]
-    domain = INTEGER if D == 1 else RATIONAL
-    return _ungrade(co, D, domain, N)
+    mul1(co, b - a, -(D ** (b - a)), N)
+    return TruncatedSeries.from_coeffs(*ungrade(co, D))
 
 
 def _expand_maino(params, N):
@@ -218,12 +192,11 @@ def _expand_maino(params, N):
     _require(isinstance(m, int) and m >= 1, "m must be a positive integer")
     _require(isinstance(s, int) and s >= 1, "s must be a positive integer")
     _require(x >= 1, "need x >= 1")
-    P, Q, D = _scaled_weights(x, y)
+    P, Q, D = scaled_weights(x, y)
     first = _graded_weight_ladder_sum(P, Q, D, s, m, a, N)
     second = _graded_weight_ladder_sum(P, Q, D, s, m, a * b, N)
     co = [u - v for u, v in zip(first, second)]
-    domain = INTEGER if D == 1 else RATIONAL
-    return _ungrade(co, D, domain, N)
+    return TruncatedSeries.from_coeffs(*ungrade(co, D))
 
 
 def _expand_chern_corollary(params, N):
@@ -234,7 +207,7 @@ def _expand_chern_corollary(params, N):
     denom = [0] * (N + 1)
     denom[0] = 1  # 1/(q^s;q^m)_k, advanced per k
     for k in range(1, N + 1):
-        _binom_div(denom, s + (k - 1) * m, 1, N)
+        div1(denom, s + (k - 1) * m, 1, N)
         # add q^k (1 - q^k) * denom
         lim = N - k
         for j in range(min(len(denom), lim + 1)):
@@ -266,7 +239,7 @@ def _expand_andrews(params, N):
                  "need b_j - a_j divisible by a_0 for every j >= 1")
     _require(isinstance(h, int) and h >= 0, "h must be a non-negative integer")
     _require(x >= 1, "need x >= 1")
-    P, Q, D = _scaled_weights(x, y)
+    P, Q, D = scaled_weights(x, y)
 
     def branch(seq, lead):
         co = [0] * (N + 1)
@@ -274,15 +247,11 @@ def _expand_andrews(params, N):
         if off > N:
             return co
         co[off] = P**h * D ** (off - h)  # graded (x q^lead)^h
-        for e in seq:
-            if Q:
-                _binom_mul(co, e, Q * D ** (e - 1), N)
-            _binom_div(co, e, P * D ** (e - 1), N)
-        return co
+        # * prod_{e in seq} (1 + y q^e) / (1 - x q^e)
+        return qprod([(Q, seq, 1), (-P, seq, -1)], N, D, co)
 
     co = [u - v for u, v in zip(branch(a_seq, a0), branch(b_seq, b0))]
-    domain = INTEGER if D == 1 else RATIONAL
-    return _ungrade(co, D, domain, N)
+    return TruncatedSeries.from_coeffs(*ungrade(co, D))
 
 
 _NONNEG_KINDS = {

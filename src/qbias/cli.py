@@ -122,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--flavor", choices=("01", "10", "11"), default=None)
     p.add_argument("--profile", choices=tuple(PROFILES))
-    p.add_argument("--n-values", default="1000")
-    p.add_argument("--samples", default="500,1000,2000")
-    p.add_argument("--z", default="0.5,0.4,0.3")
+    p.add_argument("--n-values", type=_int_list, default="1000")
+    p.add_argument("--samples", type=_int_list, default="500,1000,2000")
+    p.add_argument("--z", type=_float_list, default="0.5,0.4,0.3")
     p.add_argument("--h", type=int, default=0)
     p.add_argument("--N", type=int, default=None)
 
@@ -291,7 +291,7 @@ def _run_asymptotics(args):
         if not args.profile:
             raise InvalidParameterError("predict needs --profile")
         profile = PROFILES[args.profile]
-        ns = _int_list(args.n_values)
+        ns = args.n_values
         vals = [(n, tauberian_predict_log(profile, n)) for n in ns]
         obj = {"task": "predict", "profile": args.profile,
                "rows": [{"n": n, "log_main_term": v} for n, v in vals]}
@@ -301,7 +301,7 @@ def _run_asymptotics(args):
         if args.a is None or args.m is None:
             raise InvalidParameterError("convergence needs --a --m")
         rep = convergence_report(args.a, args.m, args.flavor or "01",
-                                 _int_list(args.samples), args.N)
+                                 args.samples, args.N)
         obj = {"task": "convergence"}
         obj.update(rep.to_json_obj())
         rows = rep.to_csv_rows()
@@ -310,7 +310,7 @@ def _run_asymptotics(args):
     # boundary
     if args.a is None or args.m is None:
         raise InvalidParameterError("boundary needs --a --m")
-    rep = boundary_check(args.a, args.m, args.flavor or "01", _float_list(args.z),
+    rep = boundary_check(args.a, args.m, args.flavor or "01", args.z,
                          args.h, args.N)
     obj = {"task": "boundary"}
     obj.update(rep.to_json_obj())

@@ -21,9 +21,10 @@ scaling at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from functools import lru_cache
 
 from .biasspec import BiasSpec
+from .kernel import div1, mul_trunc, qprod, scaled_weights, ungrade
 from .scalars import (
     INTEGER,
     RATIONAL,
@@ -48,90 +49,18 @@ __all__ = [
 ]
 
 
-# -- low-level integer passes -------------------------------------------------
-
-
-def _binom_mul(co, e, u, N):
-    """In place: co *= (1 + u*q^e)."""
-    for n in range(N, e - 1, -1):
-        p = co[n - e]
-        if p:
-            co[n] += u * p
-
-
-def _binom_div(co, e, u, N):
-    """In place: co /= (1 - u*q^e), i.e. co *= sum_k u^k q^{ek}."""
-    for n in range(e, N + 1):
-        p = co[n - e]
-        if p:
-            co[n] += u * p
-
-
-def _mul_trunc(a, b, N):
-    """Schoolbook product of coefficient lists, truncated at N."""
-    out = [0] * (N + 1)
-    for i, ai in enumerate(a):
-        if ai:
-            lim = N - i + 1
-            seg = b[:lim]
-            tgt = out[i : i + len(seg)]
-            out[i : i + len(seg)] = [t + ai * bj for t, bj in zip(tgt, seg)]
-    return out
-
-
-def _scaled_weights(x, y):
-    """Write x = P/D, y = Q/D over the least common denominator D."""
-    dx, dy = int(x.denominator), int(y.denominator)
-    D = dx * dy // gcd(dx, dy)
-    return int(x.numerator) * (D // dx), int(y.numerator) * (D // dy), D
-
-
 def _series_domain(spec: BiasSpec) -> str:
     return INTEGER if spec.x.denominator == 1 and spec.y.denominator == 1 else RATIONAL
 
 
-def _ungrade(co, D, domain, N) -> TruncatedSeries:
-    """Turn D^n-scaled integer coefficients back into exact values."""
-    if D == 1:
-        vals = list(co)
-        if domain == RATIONAL:
-            vals = [rational(v) for v in vals]
-    else:
-        pw = 1
-        vals = []
-        for c in co:
-            vals.append(rational(c, pw))
-            pw *= D
-    return TruncatedSeries(domain, N, vals)
-
-
 # -- total weighted series ------------------------------------------------------
 
-_TOTAL_CACHE: dict = {}
 
-
+@lru_cache(maxsize=64)
 def _total_graded(P, Q, D, N):
     """Graded coefficients of (-yq;q)_inf / (xq;q)_inf."""
-    key = (P, Q, D, N)
-    cached = _TOTAL_CACHE.get(key)
-    if cached is None:
-        co = [0] * (N + 1)
-        co[0] = 1
-        if Q:
-            pw = 1  # D^{e-1}
-            for e in range(1, N + 1):
-                _binom_mul(co, e, Q * pw, N)
-                pw *= D
-        if P:
-            pw = 1
-            for e in range(1, N + 1):
-                _binom_div(co, e, P * pw, N)
-                pw *= D
-        if len(_TOTAL_CACHE) > 64:
-            _TOTAL_CACHE.clear()
-        _TOTAL_CACHE[key] = co
-        cached = co
-    return list(cached)
+    parts = range(1, N + 1)
+    return tuple(qprod([(Q, parts, 1), (-P, parts, -1)], N, D))
 
 
 def total_weighted_series(x, y, N: int) -> TruncatedSeries:
@@ -145,39 +74,25 @@ def total_weighted_series(x, y, N: int) -> TruncatedSeries:
         raise InvalidParameterError("weights must be non-negative")
     if not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
-    P, Q, D = _scaled_weights(x, y)
-    domain = INTEGER if D == 1 else RATIONAL
-    return _ungrade(_total_graded(P, Q, D, N), D, domain, N)
+    P, Q, D = scaled_weights(x, y)
+    return TruncatedSeries.from_coeffs(*ungrade(_total_graded(P, Q, D, N), D))
 
 
 # -- the double-sum generating-function engine ---------------------------------
 
-_PREFACTOR_CACHE: dict = {}
 
-
-def _prefactor_graded(a, b, m, P, Q, D, N):
+@lru_cache(maxsize=64)
+def _prefactor_graded(lo, hi, m, P, Q, D, N):
     """Graded coefficients of the double sum's product prefactor.
 
     (-yq;q)_inf (xq^a, xq^b; q^m)_inf / ((xq;q)_inf (-yq^a, -yq^b; q^m)_inf);
-    symmetric under a <-> b.
+    symmetric under a <-> b, so callers pass the classes as lo <= hi.
     """
-    lo, hi = min(a, b), max(a, b)
-    key = (lo, hi, m, P, Q, D, N)
-    cached = _PREFACTOR_CACHE.get(key)
-    if cached is None:
-        co = _total_graded(P, Q, D, N)
-        for e0 in (lo, hi):
-            if P:
-                for e in range(e0, N + 1, m):
-                    _binom_mul(co, e, -P * D ** (e - 1), N)
-            if Q:
-                for e in range(e0, N + 1, m):
-                    _binom_div(co, e, -Q * D ** (e - 1), N)
-        if len(_PREFACTOR_CACHE) > 64:
-            _PREFACTOR_CACHE.clear()
-        _PREFACTOR_CACHE[key] = co
-        cached = co
-    return list(cached)
+    factors = []
+    for e0 in (lo, hi):
+        classes = range(e0, N + 1, m)
+        factors += [(-P, classes, 1), (Q, classes, -1)]
+    return tuple(qprod(factors, N, D, list(_total_graded(P, Q, D, N))))
 
 
 def _ord_u(k, P, m):
@@ -202,7 +117,7 @@ def _u_ladder(P, Q, D, m, N, kmax):
                 p = prev[n - e]
                 if p:
                     cur[n] += Q * p
-        _binom_div(cur, k * m, 1, N)
+        div1(cur, k * m, 1, N)
         ladder.append(cur)
     return ladder
 
@@ -235,8 +150,7 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     if not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
     a, b, m = spec.a, spec.b, spec.m
-    P, Q, D = _scaled_weights(spec.x, spec.y)
-    domain = _series_domain(spec)
+    P, Q, D = scaled_weights(spec.x, spec.y)
 
     kmax = 0
     while _ord_u(kmax + 1, P, m) + a * (kmax + 1) <= N:
@@ -277,9 +191,9 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
                     t + p * s for t, s in zip(tgt, seg)
                 ]
             n += 1
-        prefactor = _prefactor_graded(a, b, m, P, Q, D, N)
-        graded = _mul_trunc(prefactor, acc, N)
-    return _ungrade(graded, D, domain, N)
+        prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
+        graded = mul_trunc(prefactor, acc, N)
+    return TruncatedSeries.from_coeffs(*ungrade(graded, D))
 
 
 # -- the excess-marker dynamic programme ---------------------------------------
@@ -398,20 +312,27 @@ def _check_symmetric_args(a, m, flavor):
             "symmetric classes need 1 <= a < m/2 (so that m-a differs from a)")
 
 
-def _symmetric_prefactor_01(a, m, N):
-    """(q^2;q^2)_inf / ((-q^a, -q^{m-a}, q^m; q^m)_inf (q;q)_inf)."""
-    co = [0] * (N + 1)
-    co[0] = 1
-    for e in range(2, N + 1, 2):
-        _binom_mul(co, e, -1, N)
-    for e0 in (a, m - a):
-        for e in range(e0, N + 1, m):
-            _binom_div(co, e, -1, N)
-    for e in range(m, N + 1, m):
-        _binom_div(co, e, 1, N)
-    for e in range(1, N + 1):
-        _binom_div(co, e, 1, N)
-    return co
+def _symmetric_prefactor(a, m, flavor, N):
+    """Product prefactor of the flavor's single-sum closed form."""
+    parts = range(1, N + 1)
+    evens = range(2, N + 1, 2)
+    mults = range(m, N + 1, m)
+    classes = [range(e0, N + 1, m) for e0 in (a, m - a)]
+    if flavor == "01":
+        # (q^2;q^2)_inf / ((-q^a, -q^{m-a}, q^m; q^m)_inf (q;q)_inf)
+        factors = ([(-1, evens, 1)] + [(1, c, -1) for c in classes]
+                   + [(-1, mults, -1), (-1, parts, -1)])
+    elif flavor == "10":
+        # (q^a, q^{m-a}; q^m)_inf / ((q;q)_inf (q^m;q^m)_inf^2)
+        factors = [(-1, c, 1) for c in classes] + [(-1, parts, -1), (-1, mults, -2)]
+    else:
+        # (q^2;q^2)_inf (q^{2m};q^{2m})_inf^2 (q^a, q^{m-a}; q^m)_inf
+        #   / ((q;q)_inf^2 (q^m;q^m)_inf^4 (-q^a, -q^{m-a}; q^m)_inf)
+        factors = ([(-1, evens, 1), (-1, range(2 * m, N + 1, 2 * m), 2)]
+                   + [(-1, c, 1) for c in classes]
+                   + [(-1, parts, -2), (-1, mults, -4)]
+                   + [(1, c, -1) for c in classes])
+    return qprod(factors, N)
 
 
 def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSeries:
@@ -420,25 +341,14 @@ def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSerie
     _check_symmetric_args(a, m, flavor)
     if not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
+    co = _symmetric_prefactor(a, m, flavor, N)
 
     if flavor == "01":
-        co = _symmetric_prefactor_01(a, m, N)
-        theta = theta_partial(m, a, N).coeffs
-        out = _mul_trunc(co, theta, N)
+        out = mul_trunc(co, theta_partial(m, a, N).coeffs, N)
         return TruncatedSeries(INTEGER, N, out)
 
+    tail = [0] * (N + 1)
     if flavor == "10":
-        co = [0] * (N + 1)
-        co[0] = 1
-        for e0 in (a, m - a):
-            for e in range(e0, N + 1, m):
-                _binom_mul(co, e, -1, N)
-        for e in range(1, N + 1):
-            _binom_div(co, e, 1, N)
-        for e in range(m, N + 1, m):
-            _binom_div(co, e, 1, N)
-            _binom_div(co, e, 1, N)
-        tail = [0] * (N + 1)
         n = 0
         while True:
             base = m * n * (n + 1) // 2 + m * n + a
@@ -449,30 +359,9 @@ def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSerie
             for e in range(base, N + 1, step):
                 tail[e] += sign
             n += 1
-        out = _mul_trunc(co, tail, N)
-        return TruncatedSeries(INTEGER, N, out)
+        return TruncatedSeries(INTEGER, N, mul_trunc(co, tail, N))
 
     # flavor "11"
-    co = [0] * (N + 1)
-    co[0] = 1
-    for e in range(2, N + 1, 2):
-        _binom_mul(co, e, -1, N)
-    for e in range(2 * m, N + 1, 2 * m):
-        _binom_mul(co, e, -1, N)
-        _binom_mul(co, e, -1, N)
-    for e0 in (a, m - a):
-        for e in range(e0, N + 1, m):
-            _binom_mul(co, e, -1, N)
-    for e in range(1, N + 1):
-        _binom_div(co, e, 1, N)
-        _binom_div(co, e, 1, N)
-    for e in range(m, N + 1, m):
-        for _ in range(4):
-            _binom_div(co, e, 1, N)
-    for e0 in (a, m - a):
-        for e in range(e0, N + 1, m):
-            _binom_div(co, e, -1, N)
-    tail = [0] * (N + 1)
     n = 1
     while a * n <= N:
         sign = 1
@@ -482,8 +371,7 @@ def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSerie
             sign = -sign
             e += m * n
         n += 1
-    out = _mul_trunc(co, tail, N)
-    out = [2 * v for v in out]
+    out = [2 * v for v in mul_trunc(co, tail, N)]
     return TruncatedSeries(INTEGER, N, out)
 
 
@@ -495,9 +383,9 @@ def symmetric_distinct_pair(a: int, m: int, N: int):
     same product prefactor.
     """
     _check_symmetric_args(a, m, "01")
-    co = _symmetric_prefactor_01(a, m, N)
-    fwd = _mul_trunc(co, theta_partial(m, a, N).coeffs, N)
-    rev = _mul_trunc(co, theta_partial(m, m - a, N).coeffs, N)
+    co = _symmetric_prefactor(a, m, "01", N)
+    fwd = mul_trunc(co, theta_partial(m, a, N).coeffs, N)
+    rev = mul_trunc(co, theta_partial(m, m - a, N).coeffs, N)
     return (TruncatedSeries(INTEGER, N, fwd), TruncatedSeries(INTEGER, N, rev))
 
 

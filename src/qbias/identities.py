@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import _binom_div, _binom_mul
+from .kernel import div1, mul1
 from .scalars import (
     RATIONAL,
     InvalidParameterError,
@@ -73,12 +73,7 @@ def _mul_one_minus(co, c, e, N):
         f = rational(1) - c
         co[:] = [f * v for v in co]
     else:
-        _binom_mul(co, e, -c, N)
-
-
-def _div_one_minus(co, c, e, N):
-    """In place: co /= (1 - c q^e), e >= 1."""
-    _binom_div(co, e, c, N)
+        mul1(co, e, -c, N)
 
 
 def _shift_scale(co, c, e, N):
@@ -155,24 +150,24 @@ def _check_fine(params, N):
 
     lhs = [rational(0)] * (N + 1)
     term = _rational_one(N)
-    _div_one_minus(term, cg, sg, N)
+    div1(term, sg, cg, N)
     n = 0
     while n * sz <= N:
         lhs = [u + v for u, v in zip(lhs, term)]
         _mul_one_minus(term, ca, sa + n, N)
         _shift_scale(term, cz, sz, N)
-        _div_one_minus(term, cg, sg + n + 1, N)
+        div1(term, sg + n + 1, cg, N)
         n += 1
 
     rhs = [rational(0)] * (N + 1)
     term = _rational_one(N)
-    _div_one_minus(term, cz, sz, N)
+    div1(term, sz, cz, N)
     n = 0
     while n * sg <= N:
         rhs = [u + v for u, v in zip(rhs, term)]
         _mul_one_minus(term, cu, su + n, N)
         _shift_scale(term, cg, sg, N)
-        _div_one_minus(term, cz, sz + n + 1, N)
+        div1(term, sz + n + 1, cz, N)
         n += 1
     return lhs, rhs
 
@@ -204,8 +199,8 @@ def _check_heine(params, N):
         lhs = [u + v for u, v in zip(lhs, term)]
         _mul_one_minus(term, ca, sa + n, N)
         _mul_one_minus(term, cb, sb + n, N)
-        _div_one_minus(term, cg, sg + n, N)
-        _div_one_minus(term, 1, n + 1, N)
+        div1(term, sg + n, cg, N)
+        div1(term, n + 1, 1, N)
         _shift_scale(term, cz, sz, N)
         n += 1
 
@@ -216,8 +211,8 @@ def _check_heine(params, N):
         inner = [u + v for u, v in zip(inner, term)]
         _mul_one_minus(term, cw, sw + n, N)
         _mul_one_minus(term, cb, sb + n, N)
-        _div_one_minus(term, cb * cz, sb + sz + n, N)
-        _div_one_minus(term, 1, n + 1, N)
+        div1(term, sb + sz + n, cb * cz, N)
+        div1(term, n + 1, 1, N)
         _shift_scale(term, cv, sv, N)
         n += 1
     rhs = TruncatedSeries(RATIONAL, N, inner)

@@ -1,16 +1,16 @@
 """Exact scalar arithmetic: arbitrary-precision integers, rationals, and
 bivariate marker polynomials.
 
-All series coefficients are one of three kinds ("domains"):
+All series coefficients are one of two kinds ("domains"):
 
   * ``integer``  -- Python ints (arbitrary precision),
-  * ``rational`` -- exact rationals, normalised, positive denominator,
-  * ``marker``   -- polynomials in two formal weight markers X, Y with
-                    exact coefficients (integers, or rationals after a
-                    division).
+  * ``rational`` -- exact rationals, normalised, positive denominator.
 
-gmpy2 is used for rationals when available; the pure-Python Fraction
-fallback is semantically identical, only slower.
+:class:`MarkerPoly` -- polynomials in two formal weight markers X, Y -- is
+the value type of the oracle's marker mode, not a series domain.
+
+gmpy2 is used for rationals when available (the ``qbias[fast]`` extra);
+the pure-Python Fraction fallback is semantically identical, only slower.
 """
 
 from __future__ import annotations
@@ -25,17 +25,17 @@ try:
         return _mpq(p, q)
 
     _RATIONAL_TYPES = (int, _mpq, Fraction)
-except ImportError:  # pragma: no cover - mirror always has gmpy2
+except ImportError:  # gmpy2 is optional: the Fraction fallback is a live path
     def rational(p, q=1):
-        return Fraction(p, q)
+        """Exact rational p/q; like mpq, a lone p may be a "p/q" string."""
+        return Fraction(p) if q == 1 else Fraction(p, q)
 
     _RATIONAL_TYPES = (int, Fraction)
 
 INTEGER = "integer"
 RATIONAL = "rational"
-MARKER = "marker"
 
-DOMAINS = (INTEGER, RATIONAL, MARKER)
+DOMAINS = (INTEGER, RATIONAL)
 
 
 class QbiasError(Exception):
@@ -188,12 +188,6 @@ class MarkerPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0)}
-
-    def constant_value(self):
-        return self.terms.get((0, 0), 0)
-
     def evaluate(self, x, y):
         """Exact value at markers X=x, Y=y."""
         total = rational(0)
@@ -218,25 +212,3 @@ class MarkerPoly:
             mono = f"X^{i}Y^{j}" if i or j else ""
             bits.append(f"{c}{mono}")
         return "MarkerPoly(" + " + ".join(bits) + ")"
-
-    # -- serialization ---------------------------------------------------
-
-    def to_triples(self):
-        """Sorted [i, j, "coef"] triples; rationals as "p/q" strings."""
-        out = []
-        for (i, j), c in sorted(self.terms.items()):
-            if isinstance(c, int):
-                out.append([i, j, str(c)])
-            else:
-                out.append([i, j, format_rational(c)])
-        return out
-
-    @staticmethod
-    def from_triples(triples) -> "MarkerPoly":
-        terms = {}
-        for i, j, c in triples:
-            v = parse_rational(c)
-            if v.denominator == 1:
-                v = int(v.numerator)
-            terms[(int(i), int(j))] = v
-        return MarkerPoly(terms)

@@ -7,9 +7,9 @@ only numeric escape hatch is :func:`evaluate_numeric`.
 
 from __future__ import annotations
 
+from .kernel import qprod
 from .scalars import (
     INTEGER,
-    MARKER,
     RATIONAL,
     DOMAINS,
     DomainMismatchError,
@@ -23,27 +23,15 @@ from .scalars import (
 
 
 def _zero(domain):
-    if domain == MARKER:
-        return MarkerPoly.constant(0)
-    if domain == RATIONAL:
-        return rational(0)
-    return 0
+    return rational(0) if domain == RATIONAL else 0
 
 
 def _one(domain):
-    if domain == MARKER:
-        return MarkerPoly.constant(1)
-    if domain == RATIONAL:
-        return rational(1)
-    return 1
+    return rational(1) if domain == RATIONAL else 1
 
 
 def _coerce(domain, value):
     """Bring a scalar into the domain; rejects lossy coercions."""
-    if domain == MARKER:
-        if isinstance(value, MarkerPoly):
-            return value
-        return MarkerPoly.constant(value)
     if domain == RATIONAL:
         if isinstance(value, MarkerPoly):
             raise DomainMismatchError("marker scalar in rational series")
@@ -195,8 +183,7 @@ class TruncatedSeries:
         """Multiplicative inverse mod q^{N+1}.
 
         The constant term must be invertible in the domain: +-1 for
-        integer series, nonzero for rational series, a nonzero constant
-        for marker series.
+        integer series, nonzero for rational series.
         """
         c0 = self.coeffs[0]
         domain = self.domain
@@ -205,16 +192,10 @@ class TruncatedSeries:
                 raise SingularSeriesError(
                     f"integer series with constant term {c0} is not invertible")
             inv0 = c0
-        elif domain == RATIONAL:
+        else:
             if not c0:
                 raise SingularSeriesError("zero constant term")
             inv0 = rational(1) / c0
-        else:
-            if not c0.is_constant() or c0.is_zero():
-                raise SingularSeriesError(
-                    "marker series constant term must be a nonzero constant")
-            v = c0.constant_value()
-            inv0 = MarkerPoly.constant(v if v in (1, -1) else rational(1, 1) / v)
         N = self.order
         out = [_zero(domain)] * (N + 1)
         out[0] = inv0
@@ -225,7 +206,7 @@ class TruncatedSeries:
                 ak = a[k]
                 if ak:
                     acc = acc + ak * out[n - k]
-            out[n] = -(inv0 * acc) if domain == MARKER else -(acc * inv0)
+            out[n] = -(acc * inv0)
         s = TruncatedSeries.__new__(TruncatedSeries)
         s.domain, s.order, s.coeffs = domain, N, out
         return s
@@ -244,14 +225,13 @@ class TruncatedSeries:
         return s
 
     def convert(self, domain) -> "TruncatedSeries":
-        """Explicit promotion integer -> rational -> marker.
+        """Explicit promotion integer -> rational.
 
-        Demotions are rejected; promotion never happens implicitly.
+        Demotion is rejected; promotion never happens implicitly.
         """
         if domain == self.domain:
             return self.copy()
-        rank = {INTEGER: 0, RATIONAL: 1, MARKER: 2}
-        if rank[domain] < rank[self.domain]:
+        if domain == INTEGER:
             raise DomainMismatchError(
                 f"cannot demote {self.domain} series to {domain}")
         return TruncatedSeries(domain, self.order, list(self.coeffs))
@@ -261,10 +241,8 @@ class TruncatedSeries:
     def to_json_obj(self) -> dict:
         if self.domain == INTEGER:
             coeffs = [str(c) for c in self.coeffs]
-        elif self.domain == RATIONAL:
-            coeffs = [format_rational(c) for c in self.coeffs]
         else:
-            coeffs = [c.to_triples() for c in self.coeffs]
+            coeffs = [format_rational(c) for c in self.coeffs]
         return {
             "domain": self.domain,
             "truncation_order": self.order,
@@ -280,8 +258,6 @@ class TruncatedSeries:
             coeffs = [int(c) for c in raw]
         elif domain == RATIONAL:
             coeffs = [parse_rational(c) for c in raw]
-        elif domain == MARKER:
-            coeffs = [MarkerPoly.from_triples(t) for t in raw]
         else:
             raise InvalidParameterError(f"unknown domain {domain!r}")
         return TruncatedSeries(domain, order, coeffs)
@@ -307,49 +283,7 @@ def pochhammer_product(c, sign, offset, step, order, domain=None):
         domain = INTEGER if isinstance(c, int) else RATIONAL
     out = TruncatedSeries.one(domain, order)
     u = _coerce(domain, c if sign == 1 else -c)
-    if not u:
-        return out
-    co = out.coeffs
-    for e in range(offset, order + 1, step):
-        for n in range(order, e - 1, -1):
-            prev = co[n - e]
-            if prev:
-                co[n] = co[n] + u * prev
-    return out
-
-
-def pochhammer_finite(c, offset, step, count, order, domain=None):
-    """Finite product prod_{j=0}^{count-1} (1 - c*q^{offset+j*step}).
-
-    With offset = 0 this is the classical finite q-shifted factorial of a
-    scalar; constant factors are allowed here because the product is finite.
-    """
-    if not isinstance(count, int) or count < 0:
-        raise InvalidParameterError("count must be a non-negative integer")
-    if not isinstance(offset, int) or offset < 0:
-        raise InvalidParameterError("offset must be >= 0")
-    if not isinstance(step, int) or step < 1:
-        raise InvalidParameterError("step must be a positive integer")
-    if domain is None:
-        domain = INTEGER if isinstance(c, int) else RATIONAL
-    out = TruncatedSeries.one(domain, order)
-    u = _coerce(domain, c)
-    if not u:
-        return out
-    co = out.coeffs
-    for j in range(count):
-        e = offset + j * step
-        if e == 0:
-            one = _one(domain)
-            factor = one - u
-            co[:] = [factor * v if domain == MARKER else v * factor for v in co]
-            continue
-        if e > order:
-            break
-        for n in range(order, e - 1, -1):
-            prev = co[n - e]
-            if prev:
-                co[n] = co[n] - u * prev
+    qprod([(u, range(offset, order + 1, step), 1)], order, co=out.coeffs)
     return out
 
 
@@ -368,11 +302,6 @@ def theta_partial(m, a, order):
         out.coeffs[e] += 1
         n += 1
     return out
-
-
-def euler_product(order):
-    """(q;q)_infinity truncated: prod_{j>=1} (1 - q^j)."""
-    return pochhammer_product(1, -1, 1, 1, order)
 
 
 # -- numeric evaluation -------------------------------------------------------
@@ -398,8 +327,6 @@ def evaluate_numeric(series: TruncatedSeries, q0) -> NumericValue:
     sum magnitude, signalling that the truncation order was too small for
     this evaluation point.
     """
-    if series.domain == MARKER:
-        raise InvalidParameterError("numeric evaluation needs integer or rational coefficients")
     if abs(q0) >= 1:
         raise InvalidParameterError("evaluation point must satisfy |q0| < 1")
     q0 = complex(q0) if isinstance(q0, complex) else float(q0)

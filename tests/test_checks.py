@@ -137,8 +137,9 @@ def test_dominance_sweep_small():
 
 
 def test_dominance_sweep_rejects_small_x():
-    with pytest.raises(InvalidParameterError):
-        dominance_sweep(3, [rational(1, 2)], [0], 40)
+    for xs in ([rational(1, 2)], ["1/2"]):
+        with pytest.raises(InvalidParameterError):
+            dominance_sweep(3, xs, [0], 40)
 
 
 def test_distinct_dominance_sweep_small():

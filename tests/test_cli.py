@@ -30,6 +30,11 @@ def test_invalid_config_exit_2_and_json_error():
     assert "error" in err
     res = run_cli(["oracle", "--a", "1", "--b", "2", "--m", "2", "--n", "not-int"])
     assert res.returncode == 2
+    for argv in (["asymptotics", "convergence", "--a", "1", "--m", "3", "--samples", "1.5"],
+                 ["asymptotics", "boundary", "--a", "1", "--m", "3", "--z", "abc"]):
+        res = run_cli(argv)
+        assert res.returncode == 2
+        assert "error" in json.loads(res.stderr.splitlines()[-1])
 
 
 def test_scan_exit_codes():

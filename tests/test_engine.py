@@ -1,5 +1,8 @@
 """Cross-method agreement and landmark values for the bias engines."""
 
+import inspect
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,9 @@ from qbias import (
     total_weighted_series,
     TruncatedSeries,
 )
-from qbias.engine import _binom_div, _binom_mul
+import qbias.kernel
+import qbias.oracle
+from qbias.engine import MarkerLaurentSeries
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
 
@@ -187,6 +192,18 @@ def test_marker_support_bounds():
         assert -n <= lo <= hi <= n
         # smallest class parts are 1 and 2: support within [-n/2, n]
         assert hi <= n and lo >= -(n // 2)
+
+
+def test_dp_and_oracle_do_not_use_the_kernel():
+    # gf, dp and the oracle cross-check each other only while dp and the
+    # oracle build nothing with the generating-function product kernel
+    kernel_names = {"kernel", "qprod", "mul1", "div1", "mul_trunc"}
+    assert not kernel_names & set(vars(qbias.oracle))
+    assert not any(v is qbias.kernel or getattr(v, "__module__", None) == "qbias.kernel"
+                   for v in vars(qbias.oracle).values())
+    pattern = re.compile(r"\b(" + "|".join(sorted(kernel_names)) + r")\b")
+    for obj in (qbias.oracle, excess_marker_series, MarkerLaurentSeries):
+        assert not pattern.search(inspect.getsource(obj)), obj
 
 
 def test_total_weighted_series_values():

@@ -13,13 +13,12 @@ from qbias import (
     TruncatedSeries,
     count_distinct,
     count_partitions,
-    euler_product,
     evaluate_numeric,
-    pochhammer_finite,
     pochhammer_product,
     rational,
     theta_partial,
 )
+from qbias.kernel import qprod
 
 N = 24
 
@@ -42,8 +41,12 @@ def test_order_validation():
         TruncatedSeries("integer", -3)
     with pytest.raises(InvalidParameterError):
         TruncatedSeries("integer", 4, [1, 2, 3])
-    with pytest.raises(InvalidParameterError):
-        TruncatedSeries("float", 4)
+    for domain in ("float", "marker"):
+        with pytest.raises(InvalidParameterError):
+            TruncatedSeries(domain, 4)
+        with pytest.raises(InvalidParameterError):
+            TruncatedSeries.from_json_obj(
+                {"domain": domain, "truncation_order": 1, "coeffs": ["1", "0"]})
 
 
 def test_domain_and_order_mismatch_rejected():
@@ -125,15 +128,10 @@ def test_invert_preconditions():
         TruncatedSeries("rational", 4).invert()
     half = TruncatedSeries("rational", 4, [rational(1, 2), 1, 0, 0, 0])
     assert (half * half.invert()).coeffs == TruncatedSeries.one("rational", 4).coeffs
-    # marker mode: nonzero constant inverts, non-constant head does not
-    mk = TruncatedSeries("marker", 3, [2, MarkerPoly.x_marker(), 0, 0])
-    assert mk.invert()[0] == MarkerPoly.constant(rational(1, 2))
-    with pytest.raises(SingularSeriesError):
-        TruncatedSeries("marker", 3, [MarkerPoly.x_marker(), 0, 0, 0]).invert()
 
 
 def test_partition_numbers_from_euler_product():
-    inv = euler_product(30).invert()
+    inv = pochhammer_product(1, -1, 1, 1, 30).invert()
     for n in range(31):
         assert inv.coeffs[n] == count_partitions(n)
     assert inv.coeffs[10] == 42
@@ -178,11 +176,23 @@ def test_pochhammer_self_inverse():
     assert (s * s.invert()).coeffs == TruncatedSeries.one("integer", 25).coeffs
 
 
-def test_pochhammer_finite_matches_infinite_head():
-    # (c;q)_n agrees with (c;q)_inf once n exceeds the truncation range
-    fin = pochhammer_finite(1, 1, 1, 40, 30)
-    inf = pochhammer_product(1, -1, 1, 1, 30)
-    assert fin.coeffs == inf.coeffs
+@pytest.mark.parametrize("D", [1, 2])
+def test_qprod_matches_series_products(D):
+    # (1 + (3/D) q^e)^2 over odd e times (1 - (5/D) q^e)^-2 over e = 2 mod 3,
+    # D^n-graded, against the same product from series multiply and invert
+    N = 20
+    table = [(3, range(1, N + 1, 2), 2), (-5, range(2, N + 1, 3), -2)]
+    graded = qprod(table, N, D)
+    ref = TruncatedSeries.one("rational", N)
+    for u, exponents, power in table:
+        for e in exponents:
+            f = TruncatedSeries.monomial("rational", N, e, rational(u, D))
+            f.coeffs[0] = rational(1)
+            if power < 0:
+                f = f.invert()
+            for _ in range(abs(power)):
+                ref = ref * f
+    assert [rational(c, D**n) for n, c in enumerate(graded)] == ref.coeffs
 
 
 def test_theta_partial_values():
@@ -235,7 +245,7 @@ def test_evaluate_geometric():
 
 
 def test_evaluate_euler_inverse_against_direct_product():
-    s = euler_product(50).invert()
+    s = pochhammer_product(1, -1, 1, 1, 50).invert()
     r = evaluate_numeric(s, 0.1)
     direct = 1.0
     for j in range(1, 200):
@@ -249,16 +259,13 @@ def test_evaluate_preconditions_and_alarm():
     with pytest.raises(InvalidParameterError):
         evaluate_numeric(s, 1.0)
     assert evaluate_numeric(s, 0.9).tail_alarm  # N far too small at q0 = 0.9
-    mk = TruncatedSeries("marker", 3)
-    with pytest.raises(InvalidParameterError):
-        evaluate_numeric(mk, 0.5)
 
 
 # -- serialization --------------------------------------------------------------------
 
 
 def test_json_round_trip_integer():
-    s = euler_product(12)
+    s = pochhammer_product(1, -1, 1, 1, 12)
     obj = s.to_json_obj()
     text = json.dumps(obj)
     back = TruncatedSeries.from_json_obj(json.loads(text))
@@ -271,14 +278,6 @@ def test_json_round_trip_rational():
     s = TruncatedSeries("rational", 3, [rational(1, 3), rational(-2, 7), 0, 5])
     obj = s.to_json_obj()
     assert obj["coeffs"][0] == "1/3"
-    assert TruncatedSeries.from_json_obj(obj) == s
-
-
-def test_json_round_trip_marker():
-    poly = MarkerPoly({(1, 0): 2, (0, 3): -1})
-    s = TruncatedSeries("marker", 2, [1, poly, 0])
-    obj = s.to_json_obj()
-    assert obj["coeffs"][1] == [[0, 3, "-1"], [1, 0, "2"]]
     assert TruncatedSeries.from_json_obj(obj) == s
 
 
