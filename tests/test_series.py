@@ -281,6 +281,21 @@ def test_json_round_trip_rational():
     assert TruncatedSeries.from_json_obj(obj) == s
 
 
+def test_json_round_trip_marker():
+    # Marker-weighted coefficients live in MarkerPoly, not in a series domain:
+    # JSON in the old "marker" form ([x-exp, y-exp, weight] triples) is refused,
+    # and the numeric specialisation of the same weights round-trips.
+    old = {"domain": "marker", "truncation_order": 2,
+           "coeffs": [[[0, 0, "1"]], [[0, 3, "-1"], [1, 0, "2"]], []]}
+    with pytest.raises(InvalidParameterError, match="marker"):
+        TruncatedSeries.from_json_obj(old)
+    poly = MarkerPoly({(1, 0): 2, (0, 3): -1})
+    value = poly.evaluate(rational(3, 2), rational(1, 2))
+    assert value == rational(23, 8)
+    s = TruncatedSeries("rational", 2, [1, value, 0])
+    assert TruncatedSeries.from_json_obj(json.loads(json.dumps(s.to_json_obj()))) == s
+
+
 # -- marker polynomial basics ------------------------------------------------------------
 
 
