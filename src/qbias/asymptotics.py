@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import bias_series_symmetric, total_weighted_series
+from .engine import FLAVOR_XY, bias_series_symmetric, total_weighted_series
 from .scalars import InvalidParameterError, TailBoundError
 from .series import TruncatedSeries, evaluate_numeric
 
@@ -37,8 +37,6 @@ __all__ = [
     "suggest_boundary_order",
     "FLAVOR_XY",
 ]
-
-FLAVOR_XY = {"01": (0, 1), "10": (1, 0), "11": (1, 1)}
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .scalars import InvalidParameterError, format_rational, parse_rational, rational
+from .scalars import InvalidParameterError, format_rational, rational
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,6 @@ class BiasSpec:
         """Same weights with the two residue classes exchanged."""
         return BiasSpec(self.b, self.a, self.m, self.x, self.y, self.marker)
 
-    def key(self) -> tuple:
-        if self.marker:
-            return (self.a, self.b, self.m, "X", "Y")
-        return (self.a, self.b, self.m, format_rational(self.x), format_rational(self.y))
-
     def label(self) -> str:
         if self.marker:
             return f"({self.a},{self.b},{self.m};X,Y)"
@@ -64,7 +59,3 @@ class BiasSpec:
             "x": format_rational(self.x),
             "y": format_rational(self.y),
         }
-
-    @staticmethod
-    def from_strings(a, b, m, x, y) -> "BiasSpec":
-        return BiasSpec(int(a), int(b), int(m), parse_rational(str(x)), parse_rational(str(y)))

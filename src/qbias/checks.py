@@ -22,7 +22,7 @@ from .engine import (
     monotonicity_check,
     symmetric_distinct_pair,
 )
-from .kernel import div1, mul1, qprod, scaled_weights, ungrade
+from .kernel import add_shifted, div1, graded_shift, qprod, rung, scaled_weights, ungrade
 from .scalars import (
     INTEGER,
     InvalidParameterError,
@@ -130,44 +130,14 @@ def _graded_weight_ladder_sum(P, Q, D, s, m, exp_mult, N):
     Shared shape of both branches of the paired-sum difference check.
     """
     acc = [0] * (N + 1)
-    # ladder starts at k = 0: term q^{exp_mult} / (1 - q^s)
-    term = [0] * (N + 1)
-    term[0] = 1
+    term = [1] + [0] * N  # the k = 0 rung, 1/(1 - q^s), carries D^0
     div1(term, s, 1, N)
     k = 0
-    while exp_mult * (k + 1) <= N:
+    while exp_mult * (k + 1) <= N and any(term):
         off = exp_mult * (k + 1)
-        shift_pow = D ** (off - k)  # grading: entry j of term carries D^{j+off-k}
-        pw = shift_pow
-        lim = N - off
-        tgt = acc[off:]
-        if D == 1:
-            for j in range(min(len(term), lim + 1)):
-                t = term[j]
-                if t:
-                    tgt[j] += t
-        else:
-            for j in range(min(len(term), lim + 1)):
-                t = term[j]
-                if t:
-                    tgt[j] += t * pw
-                pw *= D
-        acc[off:] = tgt
-        # advance the ladder: * (x + y q^{s+km}) / (1 - q^{s+(k+1)m})
-        e = s + k * m
-        if Q and e <= N:
-            nxt = [P * v for v in term]
-            for n in range(e, N + 1):
-                p = term[n - e]
-                if p:
-                    nxt[n] += Q * p
-            term = nxt
-        else:
-            term = [P * v for v in term]
-        div1(term, s + (k + 1) * m, 1, N)
+        add_shifted(acc, off, graded_shift(term, off, k, D, N))
+        term = rung(term, P, Q, s + k * m, s + (k + 1) * m, N)
         k += 1
-        if not any(term):
-            break
     return acc
 
 
@@ -179,8 +149,8 @@ def _expand_f_series(params, N):
     _require((a, b) != (1, 2), "the claim excludes (a, b) = (1, 2)")
     P, Q, D = scaled_weights(x, y)
     co = list(_prefactor_graded(a, b, m, P, Q, D, N))
-    # * (1 - q^{b-a}); grading of q^{b-a} is D^{b-a}
-    mul1(co, b - a, -(D ** (b - a)), N)
+    # * (1 - q^{b-a}): the weight -D/D grades to -D^(b-a)
+    co = qprod([(-D, (b - a,), 1)], N, D, co)
     return TruncatedSeries.from_coeffs(*ungrade(co, D))
 
 
@@ -209,16 +179,8 @@ def _expand_chern_corollary(params, N):
     for k in range(1, N + 1):
         div1(denom, s + (k - 1) * m, 1, N)
         # add q^k (1 - q^k) * denom
-        lim = N - k
-        for j in range(min(len(denom), lim + 1)):
-            d = denom[j]
-            if d:
-                acc[k + j] += d
-        lim2 = N - 2 * k
-        for j in range(min(len(denom), lim2 + 1)):
-            d = denom[j]
-            if d:
-                acc[2 * k + j] -= d
+        add_shifted(acc, k, denom)
+        add_shifted(acc, 2 * k, denom, -1)
     return TruncatedSeries(INTEGER, N, acc)
 
 
@@ -424,11 +386,27 @@ def _compare_worker(args):
     return spec.label(), report.violations, mono_fwd and mono_rev
 
 
-def _run_comparisons(tasks, jobs):
+def _run_sweep(name, tasks, N, jobs, witnesses=None) -> SweepReport:
+    """Run every comparison task and collect the violations into a report.
+
+    A sweep with no task would pass without comparing anything, so it is
+    rejected as an invalid configuration instead.
+    """
+    if not tasks:
+        raise InvalidParameterError(f"the {name} sweep has no comparison to run")
+    jobs = jobs or default_jobs()
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_compare_worker, tasks, chunksize=8))
-    return [_compare_worker(t) for t in tasks]
+            results = list(pool.map(_compare_worker, tasks, chunksize=8))
+    else:
+        results = [_compare_worker(t) for t in tasks]
+    report = SweepReport(name, N, len(tasks), witnesses=witnesses or {})
+    for label, violations, mono in results:
+        if violations:
+            report.violations.append((label, violations))
+        if not mono:
+            report.violations.append((label, ["monotonicity"]))
+    return report
 
 
 def _as_pair(v):
@@ -452,14 +430,7 @@ def dominance_sweep(m_max: int, xs, ys, N: int, jobs: int | None = None) -> Swee
                 for x in xs:
                     for y in ys:
                         tasks.append((a, b, m, _as_pair(x), _as_pair(y), N))
-    results = _run_comparisons(tasks, jobs or default_jobs())
-    report = SweepReport("thm1", N, len(tasks))
-    for label, violations, mono in results:
-        if violations:
-            report.violations.append((label, violations))
-        if not mono:
-            report.violations.append((label, ["monotonicity"]))
-    return report
+    return _run_sweep("thm1", tasks, N, jobs)
 
 
 def distinct_dominance_sweep(m_max: int, xs, N: int, jobs: int | None = None) -> SweepReport:
@@ -479,14 +450,7 @@ def distinct_dominance_sweep(m_max: int, xs, N: int, jobs: int | None = None) ->
                 witnesses[f"({a},{b},{m})"] = k
                 for x in xs:
                     tasks.append((a, b, m, _as_pair(x), (1, 1), N))
-    results = _run_comparisons(tasks, jobs or default_jobs())
-    report = SweepReport("thm2", N, len(tasks), witnesses=witnesses)
-    for label, violations, mono in results:
-        if violations:
-            report.violations.append((label, violations))
-        if not mono:
-            report.violations.append((label, ["monotonicity"]))
-    return report
+    return _run_sweep("thm2", tasks, N, jobs, witnesses)
 
 
 # -- cross-method agreement --------------------------------------------------------
@@ -525,4 +489,6 @@ def cross_check_matrix(m_max: int, n_max: int, weights=((1, 0), (0, 1), (1, 1), 
                         "gf_eq_dp": gf_dp,
                         "gf_eq_oracle": gf_orc,
                     })
+    if not rows:
+        raise InvalidParameterError("the cross-check has no spec to compare")
     return rows, all_ok

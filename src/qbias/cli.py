@@ -2,13 +2,15 @@
 reproducible, scriptable run with machine-readable output.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 invalid
-configuration, 3 inconclusive (horizon or tail-bound guard tripped).
-Errors are also emitted as structured JSON on stderr.
+configuration (a verification that would compare nothing included),
+3 inconclusive (horizon or tail-bound guard tripped).  Errors are also
+emitted as structured JSON on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .asymptotics import (
@@ -30,6 +32,7 @@ from .checks import (
     random_nonneg_params,
 )
 from .engine import (
+    FLAVOR_XY,
     bias_series_gf,
     bias_series_dp,
     bias_series_symmetric,
@@ -62,7 +65,10 @@ def _int_list(text):
 
 
 def _float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    vals = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"non-finite value in {text!r}")
+    return vals
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,9 +161,7 @@ def _run_compute_bias(args):
     if args.method == "symmetric":
         if spec.b != spec.m - spec.a:
             raise InvalidParameterError("symmetric method needs b = m - a")
-        flavor = {(1, 0): "10", (0, 1): "01", (1, 1): "11"}.get(
-            (int(spec.x) if spec.x.denominator == 1 else -1,
-             int(spec.y) if spec.y.denominator == 1 else -1))
+        flavor = {xy: f for f, xy in FLAVOR_XY.items()}.get((spec.x, spec.y))
         if flavor is None:
             raise InvalidParameterError(
                 "symmetric closed forms exist for (x,y) in {(1,0),(0,1),(1,1)}")
@@ -177,16 +181,13 @@ def _run_compute_bias(args):
 
 
 def _run_verify(args):
-    if args.check == "thm1":
-        rep = dominance_sweep(args.m_max, _rational_list(args.x_grid),
-                              _rational_list(args.y_grid), args.N, jobs=args.jobs)
-        obj = rep.to_json_obj()
-        rows = [("spec", "violations")] + [(s, " ".join(map(str, v)))
-                                           for s, v in rep.violations]
-        return obj, rows, EXIT_PASS if rep.passed else EXIT_VIOLATION
-    if args.check == "thm2":
-        rep = distinct_dominance_sweep(args.m_max, _rational_list(args.x_grid),
-                                       args.N, jobs=args.jobs)
+    if args.check in ("thm1", "thm2"):
+        xs = _rational_list(args.x_grid)
+        if args.check == "thm1":
+            rep = dominance_sweep(args.m_max, xs, _rational_list(args.y_grid), args.N,
+                                  jobs=args.jobs)
+        else:
+            rep = distinct_dominance_sweep(args.m_max, xs, args.N, jobs=args.jobs)
         obj = rep.to_json_obj()
         rows = [("spec", "violations")] + [(s, " ".join(map(str, v)))
                                            for s, v in rep.violations]
@@ -210,6 +211,8 @@ def _run_verify(args):
     if args.check == "nonneg":
         import random as _random
 
+        if args.draws < 1:
+            raise InvalidParameterError("nonneg needs --draws >= 1")
         kinds = [args.kind] if args.kind else [
             "f_series", "maino", "chern_corollary", "andrews"]
         rng = _random.Random(args.seed)
@@ -228,6 +231,8 @@ def _run_verify(args):
         return obj, rows, EXIT_PASS if all_ok else EXIT_VIOLATION
     # identities
     names = [s.strip() for s in args.names.split(",") if s.strip()]
+    if not names:
+        raise InvalidParameterError("identities needs at least one name in --names")
     results = []
     all_ok = True
     for name in names:
@@ -362,8 +367,12 @@ def _emit(args, obj, rows) -> None:
     else:
         text = render_human(obj) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameterError(
+                f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -379,11 +388,11 @@ def main(argv=None) -> int:
         return 0
     try:
         obj, rows, code = _RUNNERS[args.command](args)
+        _emit(args, obj, rows)
     except QbiasError as exc:
         sys.stderr.write(canonical_json(
             {"error": str(exc), "type": type(exc).__name__}))
-        return EXIT_INVALID
-    _emit(args, obj, rows)
+        return EXIT_INCONCLUSIVE if isinstance(exc, TailBoundError) else EXIT_INVALID
     return code
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .kernel import div1, mul_trunc, qprod, scaled_weights, ungrade
+from .kernel import add_shifted, graded_shift, mul_trunc, qprod, rung, scaled_weights, ungrade
 from .scalars import (
     INTEGER,
     RATIONAL,
@@ -102,40 +102,10 @@ def _ord_u(k, P, m):
 
 def _u_ladder(P, Q, D, m, N, kmax):
     """Integer ladder L_k = D^k * prod_{j<k}(x+y q^{jm}) / (q^m;q^m)_k, k <= kmax."""
-    ladder = [[0] * (N + 1)]
-    ladder[0][0] = 1
+    ladder = [[1] + [0] * N]
     for k in range(1, kmax + 1):
-        prev = ladder[-1]
-        e = (k - 1) * m
-        if e == 0:
-            cur = [(P + Q) * v for v in prev]
-        elif Q == 0:
-            cur = [P * v for v in prev]
-        else:
-            cur = [P * v for v in prev]
-            for n in range(e, N + 1):
-                p = prev[n - e]
-                if p:
-                    cur[n] += Q * p
-        div1(cur, k * m, 1, N)
-        ladder.append(cur)
+        ladder.append(rung(ladder[-1], P, Q, (k - 1) * m, k * m, N))
     return ladder
-
-
-def _graded_shift(u, k, mult, D, N):
-    """Graded list of (ladder k) * q^{mult*k}: entry j carries D^{j+(mult-1)k}."""
-    off = mult * k
-    lim = N + 1 - off
-    if lim <= 0:
-        return []
-    if D == 1:
-        return u[:lim]
-    pw = D ** ((mult - 1) * k)
-    out = []
-    for j in range(min(len(u), lim)):
-        out.append(u[j] * pw)
-        pw *= D
-    return out
 
 
 def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
@@ -158,38 +128,22 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     graded = [0] * (N + 1)
     if kmax >= 1:
         ladder = _u_ladder(P, Q, D, m, N, kmax)
-        shifted_a = [None] + [_graded_shift(ladder[k], k, a, D, N) for k in range(1, kmax + 1)]
+        shifted_a = [None] + [graded_shift(ladder[k], a * k, k, D, N)
+                              for k in range(1, kmax + 1)]
         suffix = [0] * (N + 1)
         for k in range(1, kmax + 1):
-            off = a * k
-            seg = shifted_a[k]
-            tgt = suffix[off : off + len(seg)]
-            suffix[off : off + len(seg)] = [s + g for s, g in zip(tgt, seg)]
+            add_shifted(suffix, a * k, shifted_a[k])
         acc = [0] * (N + 1)
         n = 0
         while n + 1 <= kmax and (_ord_u(n, P, m) + b * n
                                  + _ord_u(n + 1, P, m) + a * (n + 1)) <= N:
             if n >= 1:
-                off = a * n
-                seg = shifted_a[n]
-                tgt = suffix[off : off + len(seg)]
-                suffix[off : off + len(seg)] = [s - g for s, g in zip(tgt, seg)]
+                add_shifted(suffix, a * n, shifted_a[n], -1)
             s_start = a * (n + 1) + _ord_u(n + 1, P, m)
-            inner = _graded_shift(ladder[n], n, b, D, N)
-            base = b * n
-            for j in range(_ord_u(n, P, m), len(inner)):
-                p = inner[j]
-                if not p:
-                    continue
-                i = base + j
-                hi = N - i
-                if hi < s_start:
-                    break
-                seg = suffix[s_start : hi + 1]
-                tgt = acc[i + s_start : i + s_start + len(seg)]
-                acc[i + s_start : i + s_start + len(seg)] = [
-                    t + p * s for t, s in zip(tgt, seg)
-                ]
+            off = b * n + s_start
+            # acc += q^off * (ladder n at q^{bn}) * (suffix from s_start)
+            inner = graded_shift(ladder[n], b * n, n, D, N - s_start)
+            add_shifted(acc, off, mul_trunc(inner, suffix[s_start:], N - off))
             n += 1
         prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
         graded = mul_trunc(prefactor, acc, N)
@@ -299,11 +253,12 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
 
 # -- symmetric closed forms -----------------------------------------------------
 
-_FLAVOR_WEIGHTS = {"01": (0, 1), "10": (1, 0), "11": (1, 1)}
+# (x, y) of each symmetric flavor
+FLAVOR_XY = {"01": (0, 1), "10": (1, 0), "11": (1, 1)}
 
 
 def _check_symmetric_args(a, m, flavor):
-    if flavor not in _FLAVOR_WEIGHTS:
+    if flavor not in FLAVOR_XY:
         raise InvalidParameterError("flavor must be one of '01', '10', '11'")
     if not (isinstance(a, int) and isinstance(m, int)):
         raise InvalidParameterError("a and m must be integers")

@@ -2,13 +2,15 @@
 
 Every product in the package is a table of factors (1 + u q^e)^power over
 sets of exponents e >= 1, applied to a dense coefficient list c_0..c_N.
-This module is the only place that multiplies such factors in.
+This module is the only place that multiplies such factors in, that takes
+a step (P + Q q^e) / (1 - q^f) of a weight ladder, and that shifts or
+multiplies whole coefficient lists.
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
 weight u/D at q^e then acts with the integer u * D^(e-1); :func:`qprod`
-applies that convention, and :func:`ungrade` turns graded lists back into
-exact values.
+applies that convention, :func:`graded_shift` regrades a shifted list, and
+:func:`ungrade` turns graded lists back into exact values.
 """
 
 from __future__ import annotations
@@ -58,15 +60,59 @@ def qprod(factors, N, D=1, co=None):
     return co
 
 
+def rung(co, P, Q, e, f, N):
+    """One weight-ladder step: co * (P + Q*q^e) / (1 - q^f) as a new list.
+
+    With the scaled weights P = x*D, Q = y*D a list carrying D^deg comes out
+    carrying D^(deg+1); :func:`graded_shift` later grades it by index.
+    """
+    out = [P * v for v in co]
+    if Q:
+        for n in range(e, N + 1):
+            p = co[n - e]
+            if p:
+                out[n] += Q * p
+    div1(out, f, 1, N)
+    return out
+
+
+def graded_shift(co, off, deg, D, N):
+    """co * q^off truncated at N, as the list s with s[j] at index off + j.
+
+    ``co`` carries D^deg; the entry landing at index off + j is multiplied
+    by D^(j + off - deg), so that it carries D^(off + j).
+    """
+    lim = N + 1 - off
+    if lim <= 0:
+        return []
+    if D == 1:
+        return co[:lim]
+    pw = D ** (off - deg)
+    out = []
+    for v in co[:lim]:
+        out.append(v * pw)
+        pw *= D
+    return out
+
+
+def add_shifted(out, off, seg, c=1):
+    """In place: out[off + j] += c * seg[j] wherever off + j < len(out)."""
+    end = min(len(out), off + len(seg))
+    if end <= off:
+        return
+    tgt = out[off:end]
+    if c == 1:
+        out[off:end] = [t + g for t, g in zip(tgt, seg)]
+    else:
+        out[off:end] = [t + c * g for t, g in zip(tgt, seg)]
+
+
 def mul_trunc(a, b, N):
     """Schoolbook product of coefficient lists, truncated at N."""
     out = [0] * (N + 1)
     for i, ai in enumerate(a):
         if ai:
-            lim = N - i + 1
-            seg = b[:lim]
-            tgt = out[i : i + len(seg)]
-            out[i : i + len(seg)] = [t + ai * bj for t, bj in zip(tgt, seg)]
+            add_shifted(out, i, b, ai)
     return out
 
 

@@ -88,15 +88,6 @@ def format_rational(v) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def as_int(v) -> int:
-    """Exact conversion to int; rejects non-integral values."""
-    if isinstance(v, int):
-        return v
-    if v.denominator != 1:
-        raise InvalidParameterError(f"not an integer: {v}")
-    return int(v.numerator)
-
-
 class MarkerPoly:
     """Polynomial in the weight markers X, Y.
 

@@ -7,7 +7,7 @@ only numeric escape hatch is :func:`evaluate_numeric`.
 
 from __future__ import annotations
 
-from .kernel import qprod
+from .kernel import mul_trunc, qprod
 from .scalars import (
     INTEGER,
     RATIONAL,
@@ -147,19 +147,8 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Full schoolbook convolution, exact mod q^{N+1}."""
         self._check_compatible(other)
-        N = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [_zero(self.domain)] * (N + 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            lim = N - i
-            row = b[: lim + 1]
-            seg = out[i : i + len(row)]
-            out[i : i + len(row)] = [s + ai * bj for s, bj in zip(seg, row)]
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order, s.coeffs = self.domain, N, out
-        return s
+        return TruncatedSeries(self.domain, self.order,
+                               mul_trunc(self.coeffs, other.coeffs, self.order))
 
     def scale(self, c) -> "TruncatedSeries":
         c = _coerce(self.domain, c)

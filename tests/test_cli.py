@@ -31,10 +31,28 @@ def test_invalid_config_exit_2_and_json_error():
     res = run_cli(["oracle", "--a", "1", "--b", "2", "--m", "2", "--n", "not-int"])
     assert res.returncode == 2
     for argv in (["asymptotics", "convergence", "--a", "1", "--m", "3", "--samples", "1.5"],
-                 ["asymptotics", "boundary", "--a", "1", "--m", "3", "--z", "abc"]):
+                 ["asymptotics", "boundary", "--a", "1", "--m", "3", "--z", "abc"],
+                 ["asymptotics", "boundary", "--a", "1", "--m", "3", "--z", "nan"],
+                 ["asymptotics", "boundary", "--a", "1", "--m", "3", "--z", "inf"],
+                 ["asymptotics", "constants", "--a", "1", "--m", "3",
+                  "--out", "/nonexistent/x.json"],
+                 # verifications that would compare nothing
+                 ["cross-check", "--m-max", "0"],
+                 ["verify", "thm1", "--m-max", "1"],
+                 ["verify", "thm2", "--m-max", "2"],
+                 ["verify", "nonneg", "--draws", "0"],
+                 ["verify", "identities", "--names", ""]):
         res = run_cli(argv)
-        assert res.returncode == 2
+        assert res.returncode == 2, argv
         assert "error" in json.loads(res.stderr.splitlines()[-1])
+
+
+def test_tail_bound_failure_exit_3_and_json_error():
+    res = run_cli(["asymptotics", "boundary", "--a", "1", "--m", "3", "--flavor", "01",
+                   "--z", "0.05", "--N", "200"])
+    assert res.returncode == 3
+    err = json.loads(res.stderr)
+    assert err["type"] == "TailBoundError"
 
 
 def test_scan_exit_codes():

@@ -18,7 +18,7 @@ from qbias import (
     rational,
     theta_partial,
 )
-from qbias.kernel import qprod
+from qbias.kernel import graded_shift, qprod, rung
 
 N = 24
 
@@ -193,6 +193,19 @@ def test_qprod_matches_series_products(D):
             for _ in range(abs(power)):
                 ref = ref * f
     assert [rational(c, D**n) for n, c in enumerate(graded)] == ref.coeffs
+    # one weight-ladder rung (x + y q^e) / (1 - q^f) with x = 3/D, y = 5/D
+    # gains one overall factor D; shifted by q and regraded, index n
+    # carries D^n
+    for e, f in ((2, 3), (0, 4)):
+        step = rung(ref.coeffs, 3, 5, e, f, N)
+        num = TruncatedSeries.monomial("rational", N, e, rational(5, D))
+        num.coeffs[0] += rational(3, D)
+        den = TruncatedSeries.monomial("rational", N, f, rational(-1))
+        den.coeffs[0] = rational(1)
+        want = ref * num * den.invert()
+        assert [c / D for c in step] == want.coeffs
+        shifted = graded_shift(step, 1, 1, D, N)
+        assert [c / D ** (j + 1) for j, c in enumerate(shifted)] == want.coeffs[:N]
 
 
 def test_theta_partial_values():
