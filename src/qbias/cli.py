@@ -3,8 +3,10 @@ reproducible, scriptable run with machine-readable output.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 invalid
 configuration (a verification that would compare nothing included),
-3 inconclusive (horizon or tail-bound guard tripped).  Errors are also
-emitted as structured JSON on stderr.
+3 inconclusive (horizon or tail-bound guard tripped), 4 unexpected
+internal error (any exception that is not a ``QbiasError``; its
+traceback precedes the JSON error line).  Errors are also emitted as
+structured JSON on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 
 from .asymptotics import (
     PROFILES,
@@ -54,6 +57,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _rational_list(text):
@@ -393,6 +397,12 @@ def main(argv=None) -> int:
         sys.stderr.write(canonical_json(
             {"error": str(exc), "type": type(exc).__name__}))
         return EXIT_INCONCLUSIVE if isinstance(exc, TailBoundError) else EXIT_INVALID
+    except Exception as exc:
+        # a defect, not a verdict: never let it read as a violation (exit 1)
+        traceback.print_exc()
+        sys.stderr.write(canonical_json(
+            {"error": str(exc) or repr(exc), "type": type(exc).__name__}))
+        return EXIT_INTERNAL
     return code
 
 

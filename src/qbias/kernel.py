@@ -47,17 +47,35 @@ def qprod(factors, N, D=1, co=None):
         co = [0] * (N + 1)
         co[0] = 1
     for u, exponents, power in factors:
-        if not u:
+        if not u or not power:
+            continue
+        if power not in (1, -1):
+            # build the row once, then raise it: one set of passes in place
+            # of |power|
+            row = qprod([(u, exponents, 1 if power > 0 else -1)], N, D)
+            co[:] = mul_trunc(co, _pow_trunc(row, abs(power), N), N)
             continue
         for e in exponents:
             if e > N:
                 continue
             w = u if D == 1 else u * D ** (e - 1)
-            for _ in range(power):
+            if power > 0:
                 mul1(co, e, w, N)
-            for _ in range(-power):
+            else:
                 div1(co, e, -w, N)
     return co
+
+
+def _pow_trunc(co, k, N):
+    """co^k truncated at N, k >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = co if out is None else mul_trunc(out, co, N)
+        k >>= 1
+        if not k:
+            return out
+        co = mul_trunc(co, co, N)
 
 
 def rung(co, P, Q, e, f, N):
@@ -108,12 +126,58 @@ def add_shifted(out, off, seg, c=1):
 
 
 def mul_trunc(a, b, N):
-    """Schoolbook product of coefficient lists, truncated at N."""
+    """Product of coefficient lists, truncated at N, as a new list.
+
+    The algorithm follows the inputs.  Schoolbook loops over the nonzero
+    entries of the sparser operand and adds shifted copies of the other.
+    Long lists of Python ints whose sparser operand has at least 16
+    nonzero entries take Kronecker substitution when the term products
+    outnumber the packed bits: each list becomes one integer, the two are
+    multiplied once, and the product's slots are the coefficients.  The
+    slot width follows the widest entry, so lists whose entry sizes spread
+    widely (graded rational weights) stay schoolbook.
+    """
+    a, b = a[:N + 1], b[:N + 1]
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    if nb < na:
+        a, b, na = b, a, nb
+    if na >= 16 and {*map(type, a), *map(type, b)} == {int}:
+        w = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length() + na.bit_length()
+        # schoolbook term products against packed bits (slot w + 1 plus 12
+        # bits of per-slot overhead); the weights were measured on CPython
+        if 30 * na * len(b) >= 24 * (len(a) + len(b)) * (w + 13):
+            return _kronecker(a, b, N, w // 8 + 1)
     out = [0] * (N + 1)
     for i, ai in enumerate(a):
         if ai:
             add_shifted(out, i, b, ai)
     return out
+
+
+def _pack(co, wb):
+    """sum co[i] * 2^(8*wb*i) for int entries with |co[i]| < 2^(8*wb)."""
+    zero = bytes(wb)
+    pos = b"".join([v.to_bytes(wb, "little") if v > 0 else zero for v in co])
+    packed = int.from_bytes(pos, "little")
+    if min(co) < 0:
+        neg = b"".join([(-v).to_bytes(wb, "little") if v < 0 else zero for v in co])
+        packed -= int.from_bytes(neg, "little")
+    return packed
+
+
+def _kronecker(a, b, N, wb):
+    """a * b truncated at N through one integer multiply, wb bytes a slot.
+
+    Every product coefficient must satisfy |c| < 2^(8*wb - 1).  Adding
+    2^(8*wb - 1) to each slot makes all slots non-negative, so they unpack
+    as plain bytes.
+    """
+    n = N + 1
+    half = 1 << (8 * wb - 1)
+    bias = int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
+    prod = (_pack(a, wb) * _pack(b, wb) + bias) & ((1 << (8 * wb * n)) - 1)
+    buf = prod.to_bytes(wb * n, "little")
+    return [int.from_bytes(buf[i:i + wb], "little") - half for i in range(0, wb * n, wb)]
 
 
 def scaled_weights(x, y):

@@ -1,11 +1,15 @@
 """CLI exit-code contract, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import qbias.cli
 from qbias.cli import main
 
 RUN = [sys.executable, "-m", "qbias.cli"]
@@ -134,3 +138,82 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     obj = json.loads(out)
     assert obj["values"][0]["value"] == 0.5
+
+
+def test_unexpected_exception_exit_4_and_json_error(monkeypatch, capsys):
+    def broken(spec, N):
+        raise ZeroDivisionError("defect")
+
+    monkeypatch.setattr(qbias.cli, "bias_series_gf", broken)
+    code = main(["compute-bias", "--a", "1", "--b", "2", "--m", "3", "--N", "5"])
+    assert code == 4
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "defect", "type": "ZeroDivisionError"}
+
+
+# random small argv: every order capped at 60 (oracle n at 12) and sweeps
+# run in-process, so one draw stays cheap
+_SMALL = st.integers(1, 7).map(str)
+_ORDER = st.integers(1, 60).map(str)
+_WEIGHT = st.sampled_from(("0", "1", "2", "1/2", "3/2", "-1"))
+_GRID = st.sampled_from(("1,2", "3/2", "0,1/2", "1", "0", "-1"))
+_JUNK = st.sampled_from(("", "x", "-1", "0", "2/0", "1.5", "nan", "1,,2"))
+_COMMANDS = {
+    "compute-bias": ([], {"--a": None, "--b": None, "--m": None, "--x": _WEIGHT,
+                          "--y": _WEIGHT, "--N": _ORDER,
+                          "--method": st.sampled_from(("gf", "dp", "symmetric"))}),
+    "verify": (["thm1", "thm2", "lemma2-1", "nonneg", "identities"],
+               {"--m-max": st.integers(2, 4).map(str), "--N": _ORDER, "--x-grid": _GRID,
+                "--y-grid": _GRID, "--a": None, "--b": None, "--m": None,
+                "--x": _WEIGHT, "--y": _WEIGHT,
+                "--kind": st.sampled_from(("f_series", "maino", "chern_corollary", "andrews")),
+                "--draws": st.integers(1, 3).map(str), "--seed": _SMALL,
+                "--names": st.sampled_from(("jacobi", "fine,heine", "kronecker", "nope"))}),
+    "scan-conjecture": ([], {"--a": None, "--b": None, "--m": None, "--N": _ORDER}),
+    "asymptotics": (["constants", "predict", "convergence", "boundary"],
+                    {"--a": None, "--m": None,
+                     "--flavor": st.sampled_from(("01", "10", "11")),
+                     "--profile": st.sampled_from(("partitions", "distinct", "overpartitions")),
+                     "--n-values": st.sampled_from(("10,100", "1000", "0", "-5")),
+                     "--samples": st.sampled_from(("20,40", "30,60", "0,1", "-5,0")),
+                     "--z": st.sampled_from(("0.5,0.4", "0.05", "2", "-0.3", "0")),
+                     "--h": _SMALL, "--N": _ORDER}),
+    "oracle": ([], {"--a": None, "--b": None, "--m": None, "--x": _WEIGHT,
+                    "--y": _WEIGHT, "--n": st.integers(0, 12).map(str)}),
+    "cross-check": ([], {"--m-max": st.integers(2, 3).map(str),
+                         "--n-max": st.integers(1, 10).map(str)}),
+}
+# flags given on every draw: required ones, and those whose defaults would
+# run far past the caps
+_ALWAYS = {"--a", "--b", "--m", "--N", "--samples", "--n", "--m-max", "--n-max",
+           "--draws"}
+
+
+@st.composite
+def small_argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    heads, flags = _COMMANDS[command]
+    argv = [command] + ([draw(st.sampled_from(heads))] if heads else [])
+    m = draw(st.integers(2, 7))
+    classes = {"--m": str(m), "--a": str(draw(st.integers(1, m))),
+               "--b": str(draw(st.integers(1, m)))}
+    for flag, values in flags.items():
+        if flag in _ALWAYS or draw(st.booleans()):
+            argv += [flag, classes.get(flag) or draw(values)]
+    if command == "oracle" and draw(st.booleans()):
+        argv.append("--total")
+    if len(argv) > 2 and draw(st.booleans()):
+        # one malformed value or token
+        argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
+    return argv + ["--jobs", "1", "--format", draw(st.sampled_from(("json", "csv", "human")))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_argv())
+def test_exit_code_contract_on_random_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4), argv
+    if code >= 2:
+        assert "error" in json.loads(err.getvalue().splitlines()[-1]), argv
