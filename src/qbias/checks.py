@@ -462,10 +462,10 @@ def cross_check_matrix(m_max: int, n_max: int, weights=((1, 0), (0, 1), (1, 1), 
     Returns (rows, all_ok); each row records one spec and whether the three
     routes produced identical values for every n <= n_max.
     """
-    from .oracle import oracle_bias
+    from .oracle import PAIR_CAP, oracle_bias
 
-    if n_max > 36:
-        raise InvalidParameterError("oracle cross-checks are capped at n = 36")
+    if n_max > PAIR_CAP:
+        raise InvalidParameterError(f"oracle cross-checks are capped at n = {PAIR_CAP}")
     rows = []
     all_ok = True
     for m in range(1, m_max + 1):

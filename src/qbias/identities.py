@@ -67,15 +67,6 @@ def _require_formal(cond, what):
             f"substitution leaves the formal validity region: {what}")
 
 
-def _mul_one_minus(co, c, e, N):
-    """In place: co *= (1 - c q^e), e >= 0 (e = 0 is a scalar factor)."""
-    if e == 0:
-        f = rational(1) - c
-        co[:] = [f * v for v in co]
-    else:
-        mul1(co, e, -c, N)
-
-
 def _shift_scale(co, c, e, N):
     """In place: co *= c * q^e."""
     if e:
@@ -154,7 +145,7 @@ def _check_fine(params, N):
     n = 0
     while n * sz <= N:
         lhs = [u + v for u, v in zip(lhs, term)]
-        _mul_one_minus(term, ca, sa + n, N)
+        mul1(term, sa + n, -ca, N)
         _shift_scale(term, cz, sz, N)
         div1(term, sg + n + 1, cg, N)
         n += 1
@@ -165,7 +156,7 @@ def _check_fine(params, N):
     n = 0
     while n * sg <= N:
         rhs = [u + v for u, v in zip(rhs, term)]
-        _mul_one_minus(term, cu, su + n, N)
+        mul1(term, su + n, -cu, N)
         _shift_scale(term, cg, sg, N)
         div1(term, sz + n + 1, cz, N)
         n += 1
@@ -197,8 +188,8 @@ def _check_heine(params, N):
     n = 0
     while n * sz <= N:
         lhs = [u + v for u, v in zip(lhs, term)]
-        _mul_one_minus(term, ca, sa + n, N)
-        _mul_one_minus(term, cb, sb + n, N)
+        mul1(term, sa + n, -ca, N)
+        mul1(term, sb + n, -cb, N)
         div1(term, sg + n, cg, N)
         div1(term, n + 1, 1, N)
         _shift_scale(term, cz, sz, N)
@@ -209,8 +200,8 @@ def _check_heine(params, N):
     n = 0
     while n * sv <= N:
         inner = [u + v for u, v in zip(inner, term)]
-        _mul_one_minus(term, cw, sw + n, N)
-        _mul_one_minus(term, cb, sb + n, N)
+        mul1(term, sw + n, -cw, N)
+        mul1(term, sb + n, -cb, N)
         div1(term, sb + sz + n, cb * cz, N)
         div1(term, n + 1, 1, N)
         _shift_scale(term, cv, sv, N)

@@ -2,13 +2,17 @@
 
 Everything here works straight from the combinatorial definitions, with no
 generating functions anywhere: this module is the ground truth the series
-engines are tested against.  Enumeration is streamed and nothing is cached
-between calls; these routines are for correctness at desk scale, not speed.
+engines are tested against.  Each pair sum is built from weight-free
+histograms of P(j) and D(j) by (excess, number of parts); these and the
+resulting marker polynomials are memoised per residue classes, so a numeric
+spec only evaluates a cached polynomial at its weights.  Everything is
+still pure enumeration, for correctness at desk scale, not speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .biasspec import BiasSpec
 from .scalars import InvalidParameterError, MarkerPoly, rational
@@ -98,52 +102,47 @@ def _check_pair_cap(n: int):
             "use the series engine for larger sizes")
 
 
-def _weight_tables(x, y, marker: bool):
-    """Powers of the weights, either exact rationals or marker monomials."""
-    if marker:
-        def wx(l):
-            return MarkerPoly({(l, 0): 1})
+@lru_cache(maxsize=4096)
+def _histogram(j: int, distinct: bool, classes):
+    """Items ((excess, number of parts), count) over P(j) or D(j).
 
-        def wy(l):
-            return MarkerPoly({(0, l): 1})
-
-        zero = MarkerPoly.constant(0)
-    else:
-        def wx(l):
-            return x**l
-
-        def wy(l):
-            return y**l
-
-        zero = rational(0)
-    return wx, wy, zero
-
-
-def _excess_histogram(n: int, a: int, b: int, m: int, weight, distinct: bool):
-    """Map (residue-a count minus residue-b count) -> summed weight over one set.
-
-    The sum runs over P(n) or D(n); the weight of a partition with l parts
-    is weight(l).  This is the direct definitional sum, merely grouped by
-    the excess statistic.
+    ``classes`` is (a mod m, b mod m, m) and the excess is the number of
+    class-a parts minus the number of class-b parts; with ``classes`` None
+    every excess is 0.  This is the direct definitional count, merely
+    grouped by the two statistics.
     """
     hist: dict = {}
-    iterator = _iter_distinct(n, n if n else 1) if distinct else _iter_partitions(n, n if n else 1)
+    iterator = _iter_distinct(j, j if j else 1) if distinct else _iter_partitions(j, j if j else 1)
     for parts in iterator:
-        ca = 0
-        cb = 0
-        for p in parts:
-            r = p % m
-            if r == a % m:
-                ca += 1
-            elif r == b % m:
-                cb += 1
-        d = ca - cb
-        w = weight(len(parts))
-        if d in hist:
-            hist[d] = hist[d] + w
-        else:
-            hist[d] = w
-    return hist
+        d = 0
+        if classes:
+            ra, rb, m = classes
+            for p in parts:
+                r = p % m
+                if r == ra:
+                    d += 1
+                elif r == rb:
+                    d -= 1
+        key = (d, len(parts))
+        hist[key] = hist.get(key, 0) + 1
+    return tuple(hist.items())
+
+
+@lru_cache(maxsize=1024)
+def _marker_poly(n: int, classes) -> MarkerPoly:
+    """Sum of X^{l(lam)} Y^{l(mu)} over pairs (lam, mu) in P x D with
+    |lam| + |mu| = n and positive joint excess (every pair if ``classes``
+    is None).  Callers must not mutate the cached result.
+    """
+    terms: dict = {}
+    for j in range(n + 1):
+        hd = _histogram(n - j, True, classes)
+        for (dp, lp), cp in _histogram(j, False, classes):
+            for (dd, ld), cd in hd:
+                if classes is None or dp + dd > 0:
+                    key = (lp, ld)
+                    terms[key] = terms.get(key, 0) + cp * cd
+    return MarkerPoly(terms)
 
 
 def oracle_bias(spec: BiasSpec, n: int):
@@ -155,41 +154,24 @@ def oracle_bias(spec: BiasSpec, n: int):
     polynomial sum of X^{l(lam)} Y^{l(mu)} instead.
     """
     _check_pair_cap(n)
-    a, b, m = spec.a, spec.b, spec.m
-    wx, wy, zero = _weight_tables(spec.x, spec.y, spec.marker)
-    total = zero
-    for j in range(n + 1):
-        hp = _excess_histogram(j, a, b, m, wx, distinct=False)
-        hd = _excess_histogram(n - j, a, b, m, wy, distinct=True)
-        for dp, wp in hp.items():
-            for dd, wd in hd.items():
-                if dp + dd > 0:
-                    total = total + wp * wd
-    return total
+    m = spec.m
+    poly = _marker_poly(n, (spec.a % m, spec.b % m, m))
+    if spec.marker:
+        return MarkerPoly(poly.terms)  # a copy: the cached polynomial stays intact
+    return poly.evaluate(spec.x, spec.y)
 
 
-def oracle_total(x, y, n: int, marker: bool = False):
+def oracle_total(x, y, n: int):
     """p_n(x,y): summed weights over all pairs (lam, mu) with |lam|+|mu| = n.
 
     Specialisations: (1,0) counts partitions, (0,1) distinct partitions,
     (1,1) overpartitions.
     """
     _check_pair_cap(n)
-    if not marker:
-        x, y = rational(x), rational(y)
-        if x < 0 or y < 0:
-            raise InvalidParameterError("weights must be non-negative")
-    wx, wy, zero = _weight_tables(x, y, marker)
-    total = zero
-    for j in range(n + 1):
-        sp = zero
-        for parts in _iter_partitions(j, j if j else 1):
-            sp = sp + wx(len(parts))
-        sd = zero
-        for parts in _iter_distinct(n - j, (n - j) if n - j else 1):
-            sd = sd + wy(len(parts))
-        total = total + sp * sd
-    return total
+    x, y = rational(x), rational(y)
+    if x < 0 or y < 0:
+        raise InvalidParameterError("weights must be non-negative")
+    return _marker_poly(n, None).evaluate(x, y)
 
 
 def count_partitions(n: int) -> int:

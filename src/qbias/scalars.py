@@ -7,7 +7,7 @@ All series coefficients are one of two kinds ("domains"):
   * ``rational`` -- exact rationals, normalised, positive denominator.
 
 :class:`MarkerPoly` -- polynomials in two formal weight markers X, Y -- is
-the value type of the oracle's marker mode, not a series domain.
+the oracle's weight-free value type, not a series domain.
 
 gmpy2 is used for rationals when available (the ``qbias[fast]`` extra);
 the pure-Python Fraction fallback is semantically identical, only slower.

@@ -2,7 +2,7 @@
 values derivable by hand or by independent recounts."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qbias import (
     BiasSpec,
@@ -16,6 +16,7 @@ from qbias import (
     oracle_bias,
     oracle_total,
     rational,
+    total_weighted_series,
 )
 
 # first values of the classical counting sequences
@@ -81,6 +82,8 @@ def test_oracle_total_specialisations():
     for n in range(10):
         assert oracle_total(1, 0, n) == PARTITION_COUNTS[n]
         assert oracle_total(0, 1, n) == DISTINCT_COUNTS[n]
+    x, y = rational(3, 2), rational(1, 2)
+    assert [oracle_total(x, y, n) for n in range(21)] == total_weighted_series(x, y, 20).coeffs
 
 
 def test_bias_landmarks():
@@ -124,6 +127,51 @@ def test_marker_mode_matches_numeric_evaluation():
         for (x, y) in [(1, 0), (0, 1), (2, 1), (rational(3, 2), rational(1, 2))]:
             num = oracle_bias(BiasSpec(1, 2, 3, x, y), n)
             assert poly.evaluate(rational(x), rational(y)) == num
+
+
+def _direct_bias(a, b, m, x, y, n):
+    """The defining pair sum, one pair (lam, mu) at a time."""
+    total = 0
+    for j in range(n + 1):
+        for lam in enumerate_partitions(j):
+            for mu in enumerate_distinct(n - j):
+                excess = (lam.residue_count(a, m) + mu.residue_count(a, m)
+                          - lam.residue_count(b, m) - mu.residue_count(b, m))
+                if excess > 0:
+                    total += x ** lam.num_parts() * y ** mu.num_parts()
+    return total
+
+
+_classes = st.integers(min_value=2, max_value=5).flatmap(
+    lambda m: st.tuples(st.integers(1, m), st.integers(1, m), st.just(m)).filter(
+        lambda t: t[0] != t[1]))
+_weight = st.sampled_from([0, 1, 2, rational(1, 2), rational(3, 2)])
+_case = st.tuples(_classes, _weight, _weight, st.integers(min_value=0, max_value=10)).filter(
+    lambda c: c[1] or c[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_case, min_size=1, max_size=4))
+@example([((3, 1, 3), rational(3, 2), 0, 10), ((1, 3, 3), 0, rational(3, 2), 10),
+          ((3, 1, 3), 1, 1, 9)])
+def test_oracle_matches_direct_pair_sum(cases):
+    # several specs per draw, so later calls read histograms and polynomials
+    # memoised by earlier ones (in this draw or an earlier draw)
+    for (a, b, m), x, y, n in cases:
+        want = _direct_bias(a, b, m, rational(x), rational(y), n)
+        assert oracle_bias(BiasSpec(a, b, m, x, y), n) == want
+        poly = oracle_bias(BiasSpec(a, b, m, marker=True), n)
+        assert poly.evaluate(rational(x), rational(y)) == want
+
+
+def test_returned_marker_poly_is_a_copy():
+    s = BiasSpec(1, 3, 3, marker=True)
+    first = oracle_bias(s, 9)
+    want = dict(first.terms)
+    first.terms[(0, 0)] = 99
+    first.terms.pop(next(iter(want)))
+    assert oracle_bias(s, 9).terms == want
+    assert oracle_bias(BiasSpec(1, 3, 3, 1, 1), 9) == MarkerPoly(want).evaluate(1, 1)
 
 
 def test_spec_validation():
