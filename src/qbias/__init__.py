@@ -38,12 +38,10 @@ from .checks import (
 )
 from .engine import (
     BiasReport,
-    MarkerLaurentSeries,
     bias_series_dp,
     bias_series_gf,
     bias_series_symmetric,
     compare_bias,
-    excess_marker_series,
     monotonicity_check,
     symmetric_distinct_pair,
     total_weighted_series,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .engine import FLAVOR_XY, bias_series_symmetric, total_weighted_series
 from .scalars import InvalidParameterError, TailBoundError
-from .series import TruncatedSeries, evaluate_numeric
+from .series import evaluate_numeric
 
 __all__ = [
     "AsymptoticProfile",

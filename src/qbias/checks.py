@@ -26,7 +26,6 @@ from .kernel import add_shifted, div1, graded_shift, qprod, rung, scaled_weights
 from .scalars import (
     INTEGER,
     InvalidParameterError,
-    format_rational,
     rational,
 )
 from .series import TruncatedSeries
@@ -322,14 +321,18 @@ class ScanReport:
         }
 
 
-def conjecture_scan(a: int, b: int, m: int, N: int,
-                    guard_fraction: float = 0.1) -> ScanReport:
+# share of the scan horizon, counted from its top, whose violations make a
+# scan inconclusive
+_GUARD_FRACTION = 0.1
+
+
+def conjecture_scan(a: int, b: int, m: int, N: int) -> ScanReport:
     """Scan the distinct-partition bias d_n(a,b;m) vs d_n(b,a;m) up to n = N.
 
     Reports every violating n, the minimal dominance threshold *within the
     horizon* (last violation + 1, or 0), and an inconclusive flag when
-    violations occur in the top guard_fraction of the horizon.  No claim
-    is made beyond the horizon.
+    violations occur in the top tenth of the horizon.  No claim is made
+    beyond the horizon.
     """
     if not (1 <= a < b <= m):
         raise InvalidParameterError("need 1 <= a < b <= m")
@@ -344,7 +347,7 @@ def conjecture_scan(a: int, b: int, m: int, N: int,
         d_ba = bias_series_gf(spec.swapped(), N).coeffs
     violations = [n for n in range(N + 1) if d_ab[n] < d_ba[n]]
     threshold = violations[-1] + 1 if violations else 0
-    cut = N - int(guard_fraction * N)
+    cut = N - int(_GUARD_FRACTION * N)
     inconclusive = any(n >= cut for n in violations)
     return ScanReport(a, b, m, N, violations, threshold, inconclusive)
 
@@ -456,7 +459,10 @@ def distinct_dominance_sweep(m_max: int, xs, N: int, jobs: int | None = None) ->
 # -- cross-method agreement --------------------------------------------------------
 
 
-def cross_check_matrix(m_max: int, n_max: int, weights=((1, 0), (0, 1), (1, 1), (2, 1))):
+_CROSS_CHECK_WEIGHTS = ((1, 0), (0, 1), (1, 1), (2, 1))
+
+
+def cross_check_matrix(m_max: int, n_max: int):
     """Method-agreement matrix: gf vs dp vs brute-force oracle.
 
     Returns (rows, all_ok); each row records one spec and whether the three
@@ -473,7 +479,7 @@ def cross_check_matrix(m_max: int, n_max: int, weights=((1, 0), (0, 1), (1, 1), 
             for b in range(1, m + 1):
                 if a == b:
                     continue
-                for (x, y) in weights:
+                for (x, y) in _CROSS_CHECK_WEIGHTS:
                     spec = BiasSpec(a, b, m, x, y)
                     gf = bias_series_gf(spec, n_max)
                     dp = bias_series_dp(spec, n_max)

@@ -27,10 +27,8 @@ from .biasspec import BiasSpec
 from .checks import (
     conjecture_scan,
     cross_check_matrix,
-    default_jobs,
     distinct_dominance_sweep,
     dominance_sweep,
-    doubling_orbit_witness,
     nonneg_suite,
     random_nonneg_params,
 )
@@ -39,7 +37,6 @@ from .engine import (
     bias_series_gf,
     bias_series_dp,
     bias_series_symmetric,
-    compare_bias,
     monotonicity_check,
 )
 from .identities import verify_identity
@@ -240,23 +237,21 @@ def _run_verify(args):
     results = []
     all_ok = True
     for name in names:
+        order = args.N
         if name == "jacobi":
             subs = [{"c": c, "s": s} for (c, s) in ((1, 1), (1, 2), (-1, 2), (2, 3), (-3, 1))]
-            order = max(args.N, 1)
         elif name == "fine":
             subs = [
                 {"alpha": (1, 2), "gamma": (1, 3), "z": (1, 1)},
                 {"alpha": (2, 1), "gamma": (1, 2), "z": (1, 1)},
                 {"alpha": (1, 1), "gamma": (parse_rational("1/2"), 2), "z": (1, 2)},
             ]
-            order = max(args.N, 1)
         elif name == "heine":
             subs = [
                 {"alpha": (1, 1), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
                 {"alpha": (1, 2), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
                 {"alpha": (2, 1), "beta": (1, 1), "gamma": (1, 3), "z": (1, 2)},
             ]
-            order = max(args.N, 1)
         else:
             subs = [{"points": [(0.2, 0.5), (0.15, 0.4), (0.1, 0.3)]}]
             order = None

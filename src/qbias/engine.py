@@ -37,20 +37,14 @@ from .series import TruncatedSeries, theta_partial
 __all__ = [
     "BiasSpec",
     "BiasReport",
-    "MarkerLaurentSeries",
     "total_weighted_series",
     "bias_series_gf",
     "bias_series_dp",
     "bias_series_symmetric",
     "symmetric_distinct_pair",
-    "excess_marker_series",
     "compare_bias",
     "monotonicity_check",
 ]
-
-
-def _series_domain(spec: BiasSpec) -> str:
-    return INTEGER if spec.x.denominator == 1 and spec.y.denominator == 1 else RATIONAL
 
 
 # -- total weighted series ------------------------------------------------------
@@ -153,102 +147,49 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
 # -- the excess-marker dynamic programme ---------------------------------------
 
 
-class MarkerLaurentSeries:
-    """q-series whose q^n coefficient is a Laurent polynomial in the excess marker t.
+def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
+    """p_n(a,b,m;x,y) via the excess-marker product; independent of the
+    double-sum engine.
 
-    t tracks (parts in class a) - (parts in class b) over weighted pairs;
-    the t-support of the q^n coefficient sits inside [-n, n].
-    """
-
-    __slots__ = ("spec", "order", "polys")
-
-    def __init__(self, spec: BiasSpec, order: int, polys):
-        self.spec = spec
-        self.order = order
-        self.polys = polys  # list of {t-exponent: weight} dicts
-
-    def support_bounds(self, n: int):
-        poly = self.polys[n]
-        if not poly:
-            return (0, 0)
-        return (min(poly), max(poly))
-
-    def collapse_total(self) -> TruncatedSeries:
-        """Set t = 1: the unweighted total series."""
-        domain = _series_domain(self.spec)
-        zero = 0 if domain == INTEGER else rational(0)
-        vals = [sum(poly.values(), zero) for poly in self.polys]
-        return TruncatedSeries(domain, self.order, vals)
-
-    def positive_excess(self) -> TruncatedSeries:
-        """Sum of coefficients of t^k for k > 0: the bias sequence."""
-        domain = _series_domain(self.spec)
-        zero = 0 if domain == INTEGER else rational(0)
-        vals = []
-        for poly in self.polys:
-            acc = zero
-            for e, c in poly.items():
-                if e > 0:
-                    acc += c
-            vals.append(acc)
-        return TruncatedSeries(domain, self.order, vals)
-
-
-def excess_marker_series(spec: BiasSpec, N: int) -> MarkerLaurentSeries:
-    """Build the marker product over part sizes 1..N.
-
-    Every part size d contributes the factor (1 + y w q^d)/(1 - x w q^d)
-    with w = t, 1/t or 1 according to the residue class of d.
+    polys[n] maps each power of the excess marker t, which tracks (parts in
+    class a) - (parts in class b), to its weighted pair count at q^n.  Every
+    part size d contributes the factor (1 + y w q^d)/(1 - x w q^d) with
+    w = t, 1/t or 1 according to the residue class of d; the bias sums the
+    positive t-powers.
     """
     if spec.marker:
         raise InvalidParameterError("marker-weight specs are oracle-only")
     if not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
-    a, b, m = spec.a, spec.b, spec.m
-    domain = _series_domain(spec)
-    if domain == INTEGER:
-        x, y = int(spec.x), int(spec.y)
-        one = 1
+    a, b, m, x, y = spec.a, spec.b, spec.m, spec.x, spec.y
+    if x.denominator == 1 and y.denominator == 1:
+        domain, x, y = INTEGER, int(x), int(y)
     else:
-        x, y = spec.x, spec.y
-        one = rational(1)
+        domain = RATIONAL
     polys = [dict() for _ in range(N + 1)]
-    polys[0][0] = one
+    polys[0][0] = 1
     am, bm = a % m, b % m
     for d in range(1, N + 1):
         r = d % m
         e = 1 if r == am else (-1 if r == bm else 0)
-        if x:
-            for n in range(d, N + 1):
+        # x-parts repeat, so ascending n reads rows this size already
+        # updated; y-parts are distinct, so descending n reads only old rows
+        for w, rows in ((x, range(d, N + 1)), (y, range(N, d - 1, -1))):
+            if not w:
+                continue
+            for n in rows:
                 src = polys[n - d]
                 if src:
                     tgt = polys[n]
                     for te, c in src.items():
                         k = te + e
-                        v = x * c
+                        v = w * c
                         if k in tgt:
                             tgt[k] += v
                         else:
                             tgt[k] = v
-        if y:
-            for n in range(N, d - 1, -1):
-                src = polys[n - d]
-                if src:
-                    tgt = polys[n]
-                    for te, c in src.items():
-                        k = te + e
-                        v = y * c
-                        if k in tgt:
-                            tgt[k] += v
-                        else:
-                            tgt[k] = v
-    return MarkerLaurentSeries(spec, N, polys)
-
-
-def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
-    """p_n(a,b,m;x,y) via the excess-marker product; independent of the
-    double-sum engine."""
-    return excess_marker_series(spec, N).positive_excess()
+    vals = [sum(c for te, c in poly.items() if te > 0) for poly in polys]
+    return TruncatedSeries(domain, N, vals)
 
 
 # -- symmetric closed forms -----------------------------------------------------
@@ -257,7 +198,7 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
 FLAVOR_XY = {"01": (0, 1), "10": (1, 0), "11": (1, 1)}
 
 
-def _check_symmetric_args(a, m, flavor):
+def _check_symmetric_args(a, m, flavor, N):
     if flavor not in FLAVOR_XY:
         raise InvalidParameterError("flavor must be one of '01', '10', '11'")
     if not (isinstance(a, int) and isinstance(m, int)):
@@ -265,6 +206,8 @@ def _check_symmetric_args(a, m, flavor):
     if not (1 <= a and 2 * a < m):
         raise InvalidParameterError(
             "symmetric classes need 1 <= a < m/2 (so that m-a differs from a)")
+    if not isinstance(N, int) or N < 1:
+        raise InvalidParameterError("order must be a positive integer")
 
 
 def _symmetric_prefactor(a, m, flavor, N):
@@ -293,9 +236,7 @@ def _symmetric_prefactor(a, m, flavor, N):
 def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSeries:
     """p_n(a, m-a, m; x, y) via the single-sum closed forms, flavors
     01 -> (x,y)=(0,1), 10 -> (1,0), 11 -> (1,1)."""
-    _check_symmetric_args(a, m, flavor)
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParameterError("order must be a positive integer")
+    _check_symmetric_args(a, m, flavor, N)
     co = _symmetric_prefactor(a, m, flavor, N)
 
     if flavor == "01":
@@ -337,7 +278,7 @@ def symmetric_distinct_pair(a: int, m: int, N: int):
     the negative marker powers swaps the theta argument a -> m-a under the
     same product prefactor.
     """
-    _check_symmetric_args(a, m, "01")
+    _check_symmetric_args(a, m, "01", N)
     co = _symmetric_prefactor(a, m, "01", N)
     fwd = mul_trunc(co, theta_partial(m, a, N).coeffs, N)
     rev = mul_trunc(co, theta_partial(m, m - a, N).coeffs, N)

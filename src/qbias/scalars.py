@@ -92,8 +92,7 @@ class MarkerPoly:
     """Polynomial in the weight markers X, Y.
 
     Stored as a map (i, j) -> coefficient of X^i Y^j; zero coefficients
-    are never stored.  Coefficients are integers, or exact rationals when
-    a division has occurred.
+    are never stored.
     """
 
     __slots__ = ("terms",)
@@ -105,79 +104,6 @@ class MarkerPoly:
                 if c:
                     cleaned[(int(i), int(j))] = c
         self.terms = cleaned
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def constant(c) -> "MarkerPoly":
-        return MarkerPoly({(0, 0): c} if c else {})
-
-    @staticmethod
-    def x_marker() -> "MarkerPoly":
-        return MarkerPoly({(1, 0): 1})
-
-    @staticmethod
-    def y_marker() -> "MarkerPoly":
-        return MarkerPoly({(0, 1): 1})
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "MarkerPoly") -> "MarkerPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = MarkerPoly.__new__(MarkerPoly)
-        res.terms = out
-        return res
-
-    def __sub__(self, other: "MarkerPoly") -> "MarkerPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) - c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        res = MarkerPoly.__new__(MarkerPoly)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "MarkerPoly":
-        res = MarkerPoly.__new__(MarkerPoly)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __mul__(self, other):
-        if not isinstance(other, MarkerPoly):
-            return self.scale(other)
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        res = MarkerPoly.__new__(MarkerPoly)
-        res.terms = out
-        return res
-
-    def scale(self, c) -> "MarkerPoly":
-        if not c:
-            return MarkerPoly.constant(0)
-        res = MarkerPoly.__new__(MarkerPoly)
-        res.terms = {k: v * c for k, v in self.terms.items()}
-        return res
-
-    # -- queries --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def evaluate(self, x, y):
         """Exact value at markers X=x, Y=y."""

@@ -16,8 +16,6 @@ from .scalars import (
     InvalidParameterError,
     MarkerPoly,
     SingularSeriesError,
-    format_rational,
-    parse_rational,
     rational,
 )
 
@@ -86,11 +84,6 @@ class TruncatedSeries:
     def from_coeffs(domain, coeffs) -> "TruncatedSeries":
         return TruncatedSeries(domain, len(coeffs) - 1, coeffs)
 
-    def copy(self) -> "TruncatedSeries":
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order, s.coeffs = self.domain, self.order, list(self.coeffs)
-        return s
-
     # -- basic protocol ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -131,31 +124,11 @@ class TruncatedSeries:
         s.coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
         return s
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order = self.domain, self.order
-        s.coeffs = [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        return s
-
-    def __neg__(self) -> "TruncatedSeries":
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order = self.domain, self.order
-        s.coeffs = [-a for a in self.coeffs]
-        return s
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Full schoolbook convolution, exact mod q^{N+1}."""
         self._check_compatible(other)
         return TruncatedSeries(self.domain, self.order,
                                mul_trunc(self.coeffs, other.coeffs, self.order))
-
-    def scale(self, c) -> "TruncatedSeries":
-        c = _coerce(self.domain, c)
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order = self.domain, self.order
-        s.coeffs = [a * c for a in self.coeffs]
-        return s
 
     def shift(self, e: int) -> "TruncatedSeries":
         """Multiply by q^e (e >= 0), discarding overflow past the order."""
@@ -199,57 +172,6 @@ class TruncatedSeries:
         s = TruncatedSeries.__new__(TruncatedSeries)
         s.domain, s.order, s.coeffs = domain, N, out
         return s
-
-    # -- structural operations -------------------------------------------
-
-    def truncate(self, new_order: int) -> "TruncatedSeries":
-        """Discard coefficients past new_order (new_order <= N)."""
-        if not isinstance(new_order, int) or new_order <= 0:
-            raise InvalidParameterError("truncation order must be positive")
-        if new_order > self.order:
-            raise InvalidParameterError("cannot extend a truncated series")
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order = self.domain, new_order
-        s.coeffs = self.coeffs[: new_order + 1]
-        return s
-
-    def convert(self, domain) -> "TruncatedSeries":
-        """Explicit promotion integer -> rational.
-
-        Demotion is rejected; promotion never happens implicitly.
-        """
-        if domain == self.domain:
-            return self.copy()
-        if domain == INTEGER:
-            raise DomainMismatchError(
-                f"cannot demote {self.domain} series to {domain}")
-        return TruncatedSeries(domain, self.order, list(self.coeffs))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        if self.domain == INTEGER:
-            coeffs = [str(c) for c in self.coeffs]
-        else:
-            coeffs = [format_rational(c) for c in self.coeffs]
-        return {
-            "domain": self.domain,
-            "truncation_order": self.order,
-            "coeffs": coeffs,
-        }
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "TruncatedSeries":
-        domain = obj["domain"]
-        order = obj["truncation_order"]
-        raw = obj["coeffs"]
-        if domain == INTEGER:
-            coeffs = [int(c) for c in raw]
-        elif domain == RATIONAL:
-            coeffs = [parse_rational(c) for c in raw]
-        else:
-            raise InvalidParameterError(f"unknown domain {domain!r}")
-        return TruncatedSeries(domain, order, coeffs)
 
 
 # -- q-product builders ------------------------------------------------------

@@ -45,7 +45,11 @@ def test_invalid_config_exit_2_and_json_error():
                  ["verify", "thm1", "--m-max", "1"],
                  ["verify", "thm2", "--m-max", "2"],
                  ["verify", "nonneg", "--draws", "0"],
-                 ["verify", "identities", "--names", ""]):
+                 ["verify", "identities", "--names", ""],
+                 # orders and sample sizes outside what the routes accept
+                 ["scan-conjecture", "--a", "1", "--b", "2", "--m", "3", "--N", "-1"],
+                 ["verify", "identities", "--N", "0", "--names", "jacobi"],
+                 ["asymptotics", "convergence", "--a", "1", "--m", "3", "--samples", "3000"]):
         res = run_cli(argv)
         assert res.returncode == 2, argv
         assert "error" in json.loads(res.stderr.splitlines()[-1])

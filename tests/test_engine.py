@@ -13,7 +13,6 @@ from qbias import (
     bias_series_gf,
     bias_series_symmetric,
     compare_bias,
-    excess_marker_series,
     monotonicity_check,
     oracle_bias,
     rational,
@@ -24,7 +23,6 @@ from qbias import (
 )
 import qbias.kernel
 import qbias.oracle
-from qbias.engine import MarkerLaurentSeries
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
 
@@ -178,22 +176,6 @@ def test_symmetric_distinct_pair_swap():
     assert rev.coeffs == bias_series_gf(BiasSpec(3, 2, 5, 0, 1), 100).coeffs
 
 
-def test_marker_collapse_equals_total():
-    for spec in (BiasSpec(1, 2, 3, 1, 1), BiasSpec(2, 3, 4, rational(1, 2), 1)):
-        marked = excess_marker_series(spec, 40)
-        total = total_weighted_series(spec.x, spec.y, 40)
-        assert marked.collapse_total().coeffs == total.coeffs
-
-
-def test_marker_support_bounds():
-    marked = excess_marker_series(BiasSpec(1, 2, 2, 1, 1), 30)
-    for n in range(31):
-        lo, hi = marked.support_bounds(n)
-        assert -n <= lo <= hi <= n
-        # smallest class parts are 1 and 2: support within [-n/2, n]
-        assert hi <= n and lo >= -(n // 2)
-
-
 def test_dp_and_oracle_do_not_use_the_kernel():
     # gf, dp and the oracle cross-check each other only while dp and the
     # oracle build nothing with the generating-function product kernel
@@ -204,7 +186,7 @@ def test_dp_and_oracle_do_not_use_the_kernel():
     assert not any(v is qbias.kernel or getattr(v, "__module__", None) == "qbias.kernel"
                    for v in vars(qbias.oracle).values())
     pattern = re.compile(r"\b(" + "|".join(sorted(kernel_names)) + r")\b")
-    for obj in (qbias.oracle, excess_marker_series, MarkerLaurentSeries):
+    for obj in (qbias.oracle, bias_series_dp):
         assert not pattern.search(inspect.getsource(obj)), obj
 
 
