@@ -5,8 +5,8 @@ Exit codes: 0 all checks pass, 1 verified violation, 2 invalid
 configuration (a verification that would compare nothing included),
 3 inconclusive (horizon or tail-bound guard tripped), 4 unexpected
 internal error (any exception that is not a ``QbiasError``; its
-traceback precedes the JSON error line).  Errors are also emitted as
-structured JSON on stderr.
+traceback precedes the JSON error line).  Every exit code >= 2 also
+ends stderr with a structured JSON error object.
 """
 
 from __future__ import annotations
@@ -275,6 +275,11 @@ def _run_scan(args):
             ("violations", " ".join(map(str, rep.violations)))]
     code = EXIT_PASS
     if rep.inconclusive and args.horizon_guard:
+        # the report still goes to stdout; stderr carries the verdict, as for
+        # every other exit code >= 2
+        sys.stderr.write(canonical_json(
+            {"error": "threshold violations near the scan horizon",
+             "type": "HorizonGuard"}))
         code = EXIT_INCONCLUSIVE
     return obj, rows, code
 

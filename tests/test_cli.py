@@ -71,6 +71,8 @@ def test_scan_exit_codes():
     # the excluded case keeps violating near the horizon: guarded -> exit 3
     res = run_cli(["scan-conjecture", "--a", "1", "--b", "2", "--m", "3", "--N", "120"])
     assert res.returncode == 3
+    assert json.loads(res.stdout)["inconclusive"] is True
+    assert json.loads(res.stderr)["type"] == "HorizonGuard"
     res = run_cli(["scan-conjecture", "--a", "1", "--b", "2", "--m", "3", "--N", "120",
                    "--no-horizon-guard"])
     assert res.returncode == 0
