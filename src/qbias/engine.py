@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .kernel import add_shifted, graded_shift, mul_trunc, qprod, rung, scaled_weights, ungrade
+from .kernel import (add_shifted, euler, graded_shift, jacobi, mul_trunc, qprod, quotient,
+                     rung, scaled_weights, ungrade)
 from .scalars import (
     INTEGER,
     RATIONAL,
@@ -53,6 +54,9 @@ __all__ = [
 @lru_cache(maxsize=64)
 def _total_graded(P, Q, D, N):
     """Graded coefficients of (-yq;q)_inf / (xq;q)_inf."""
+    if D == 1 and P in (0, 1) and Q in (0, 1):
+        # (-q;q)_inf^Q / (q;q)_inf^P = E_2^Q / E_1^(P+Q), E_s = (q^s;q^s)_inf
+        return tuple(quotient([euler(2, N)] * Q, [euler(1, N)] * (P + Q), N))
     parts = range(1, N + 1)
     return tuple(qprod([(Q, parts, 1), (-P, parts, -1)], N, D))
 
@@ -211,26 +215,23 @@ def _check_symmetric_args(a, m, flavor, N):
 
 
 def _symmetric_prefactor(a, m, flavor, N):
-    """Product prefactor of the flavor's single-sum closed form."""
-    parts = range(1, N + 1)
-    evens = range(2, N + 1, 2)
-    mults = range(m, N + 1, m)
-    classes = [range(e0, N + 1, m) for e0 in (a, m - a)]
+    """Product prefactor of the flavor's single-sum closed form.
+
+    With E_s = (q^s;q^s)_inf and the triple products
+    T+ = (-q^a, -q^{m-a}, q^m; q^m)_inf, T- = (q^a, q^{m-a}, q^m; q^m)_inf:
+    01 -> E_2 / (E_1 T+), 10 -> T- / (E_1 E_m^3) and
+    11 -> E_2 E_{2m}^2 T- / (E_1^2 E_m^4 T+).
+    """
+    e1, e2, em = euler(1, N), euler(2, N), euler(m, N)
     if flavor == "01":
-        # (q^2;q^2)_inf / ((-q^a, -q^{m-a}, q^m; q^m)_inf (q;q)_inf)
-        factors = ([(-1, evens, 1)] + [(1, c, -1) for c in classes]
-                   + [(-1, mults, -1), (-1, parts, -1)])
+        num, den = [e2], [e1, jacobi(a, m, 1, N)]
     elif flavor == "10":
-        # (q^a, q^{m-a}; q^m)_inf / ((q;q)_inf (q^m;q^m)_inf^2)
-        factors = [(-1, c, 1) for c in classes] + [(-1, parts, -1), (-1, mults, -2)]
+        num, den = [jacobi(a, m, -1, N)], [e1, em, em, em]
     else:
-        # (q^2;q^2)_inf (q^{2m};q^{2m})_inf^2 (q^a, q^{m-a}; q^m)_inf
-        #   / ((q;q)_inf^2 (q^m;q^m)_inf^4 (-q^a, -q^{m-a}; q^m)_inf)
-        factors = ([(-1, evens, 1), (-1, range(2 * m, N + 1, 2 * m), 2)]
-                   + [(-1, c, 1) for c in classes]
-                   + [(-1, parts, -2), (-1, mults, -4)]
-                   + [(1, c, -1) for c in classes])
-    return qprod(factors, N)
+        e2m = euler(2 * m, N)
+        num = [e2, e2m, e2m, jacobi(a, m, -1, N)]
+        den = [e1, e1, em, em, em, em, jacobi(a, m, 1, N)]
+    return quotient(num, den, N)
 
 
 def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSeries:

@@ -1,10 +1,15 @@
 """Truncated q-products on plain coefficient lists.
 
-Every product in the package is a table of factors (1 + u q^e)^power over
-sets of exponents e >= 1, applied to a dense coefficient list c_0..c_N.
-This module is the only place that multiplies such factors in, that takes
-a step (P + Q q^e) / (1 - q^f) of a weight ladder, and that shifts or
-multiplies whole coefficient lists.
+A product is built one of two ways.  :func:`qprod` applies a table of
+factors (1 + u q^e)^(+-1) over sets of exponents e >= 1 to a dense
+coefficient list c_0..c_N, one pass per factor.  :func:`quotient` builds
+eta and theta quotients from sparse series: Jacobi triple products
+(:func:`jacobi`) and Euler's pentagonal series for (q^s;q^s)_inf
+(:func:`euler`, a triple product too), multiplied in with
+:func:`mul_trunc` and divided out with one :func:`div_sparse` pass over
+their nonzero terms each.  This module is the only place that multiplies
+such factors in, that takes a step (P + Q q^e) / (1 - q^f) of a weight
+ladder, and that shifts or multiplies whole coefficient lists.
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
@@ -40,20 +45,16 @@ def qprod(factors, N, D=1, co=None):
     """Multiply prod_e (1 + u * D^(e-1) * q^e)^power into co, mod q^{N+1}.
 
     ``factors`` is a table of (u, exponents, power) rows with exponents
-    >= 1 and power a nonzero integer.  ``co`` (default: the series 1) is
-    changed in place and returned.  With D = 1 the factors are ungraded.
+    >= 1 and power +1 or -1.  ``co`` (default: the series 1) is changed in
+    place and returned.  With D = 1 the factors are ungraded.
     """
     if co is None:
         co = [0] * (N + 1)
         co[0] = 1
     for u, exponents, power in factors:
-        if not u or not power:
-            continue
         if power not in (1, -1):
-            # build the row once, then raise it: one set of passes in place
-            # of |power|
-            row = qprod([(u, exponents, 1 if power > 0 else -1)], N, D)
-            co[:] = mul_trunc(co, _pow_trunc(row, abs(power), N), N)
+            raise ValueError(f"q-product rows take power +1 or -1, not {power!r}")
+        if not u:
             continue
         for e in exponents:
             if e > N:
@@ -66,16 +67,56 @@ def qprod(factors, N, D=1, co=None):
     return co
 
 
-def _pow_trunc(co, k, N):
-    """co^k truncated at N, k >= 1, by repeated squaring."""
-    out = None
-    while True:
-        if k & 1:
-            out = co if out is None else mul_trunc(out, co, N)
-        k >>= 1
-        if not k:
-            return out
-        co = mul_trunc(co, co, N)
+def jacobi(a, m, sign, N):
+    """(-sign q^a, -sign q^{m-a}, q^m; q^m)_inf mod q^{N+1} for 0 < a < m
+    and sign +1 or -1, by the Jacobi triple product: the sum over n in Z of
+    sign^n q^{m n(n-1)/2 + a n}.
+
+    The exponent grows along n = 0, 1, 2, ... and along n = -1, -2, ...
+    """
+    co = [0] * (N + 1)
+    for n, step in ((0, 1), (-1, -1)):
+        while m * n * (n - 1) // 2 + a * n <= N:
+            co[m * n * (n - 1) // 2 + a * n] += sign ** (n & 1)
+            n += step
+    return co
+
+
+def euler(s, N):
+    """(q^s;q^s)_inf = (q^s, q^{2s}, q^{3s}; q^{3s})_inf mod q^{N+1}: Euler's
+    pentagonal series, the sum over k in Z of (-1)^k q^{s k(3k-1)/2}."""
+    return jacobi(s, 3 * s, -1, N)
+
+
+def div_sparse(co, s, N):
+    """In place: co /= s for a list s with s[0] = 1, mod q^{N+1}.
+
+    One pass c_n = f_n - sum_{k>=1} s_k c_{n-k} over the nonzero s_k only,
+    so a sparse divisor such as :func:`euler` or :func:`jacobi` costs
+    O(N * nnz) in place of one :func:`div1` pass per factor.
+    """
+    terms = [(k, v) for k, v in enumerate(s[1:N + 1], 1) if v]
+    for n in range(1, N + 1):
+        c = co[n]
+        for k, v in terms:
+            if k > n:
+                break
+            c -= v * co[n - k]
+        co[n] = c
+    return co
+
+
+def quotient(num, den, N):
+    """prod(num) / prod(den) mod q^{N+1} for lists with constant term 1:
+    numerators multiplied in with :func:`mul_trunc`, then one
+    :func:`div_sparse` pass per denominator."""
+    co = [0] * (N + 1)
+    co[0] = 1
+    for s in num:
+        co = mul_trunc(co, s, N)
+    for s in den:
+        div_sparse(co, s, N)
+    return co
 
 
 def rung(co, P, Q, e, f, N):

@@ -63,6 +63,16 @@ def test_tail_bound_failure_exit_3_and_json_error():
     assert err["type"] == "TailBoundError"
 
 
+def test_boundary_order_cap_exit_2_and_json_error():
+    # z = 0.01 needs an order above 2^15 and an explicit huge N asks for one:
+    # both are refused before any series is built
+    for extra in (["--z", "0.01"], ["--z", "0.5", "--N", "10000000"]):
+        res = subprocess.run(RUN + ["asymptotics", "boundary", "--a", "1", "--m", "3"] + extra,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, extra
+        assert json.loads(res.stderr)["type"] == "InvalidParameterError"
+
+
 def test_scan_exit_codes():
     res = run_cli(["scan-conjecture", "--a", "2", "--b", "3", "--m", "5", "--N", "220"])
     assert res.returncode == 0

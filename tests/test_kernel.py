@@ -1,13 +1,15 @@
-"""The truncated list multiply and powered q-product rows against naive loops."""
+"""The truncated list multiply against naive loops; the sparse Euler, Jacobi
+and division passes against dense q-product tables."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qbias.engine as engine
 import qbias.kernel as kernel
 from qbias import TruncatedSeries, rational
-from qbias.kernel import mul_trunc, qprod
+from qbias.kernel import div_sparse, euler, jacobi, mul_trunc, qprod
 
 
 def naive(a, b, N):
@@ -100,15 +102,78 @@ def test_mul_trunc_never_packs_fractions():
     assert s.coeffs == [rational(v) for v in naive(a, b, N)]
 
 
-@pytest.mark.parametrize("power", [2, -2, 4, -4])
-@pytest.mark.parametrize("D, N", [(1, 300), (2, 80)])
-def test_qprod_powered_rows_match_repeated_rows(D, N, power):
-    start = qprod([(3, range(1, N + 1, 2), 1)], N, D)
-    sign = 1 if power > 0 else -1
-    for u, exponents in ((-1, range(1, N + 1)), (5, range(3, N + 1, 4))):
-        want = list(start)
-        for _ in range(abs(power)):
-            want = qprod([(u, exponents, sign)], N, D, want)
-        co = list(start)
-        assert qprod([(u, exponents, power)], N, D, co) is co
-        assert co == want
+@pytest.mark.parametrize("power", [2, -2, 0, 3])
+def test_qprod_rows_take_power_one_only(power):
+    with pytest.raises(ValueError):
+        qprod([(1, range(1, 11), power)], 10)
+
+
+# -- sparse Euler and Jacobi series against dense q-product tables ------------
+
+ORDERS = [1, 7, 200, 1500]
+PAIRS = [(1, 3), (2, 5), (2, 7), (3, 8)]
+
+
+def dense_euler(s, N):
+    return qprod([(-1, range(s, N + 1, s), 1)], N)
+
+
+def dense_jacobi(a, m, sign, N):
+    # (-sign q^a, -sign q^{m-a}, q^m; q^m)_inf
+    return qprod([(sign, range(a, N + 1, m), 1), (sign, range(m - a, N + 1, m), 1),
+                  (-1, range(m, N + 1, m), 1)], N)
+
+
+@pytest.mark.parametrize("N", ORDERS)
+def test_euler_and_jacobi_match_dense_products(N):
+    for s in (1, 2, 3, 7):
+        assert euler(s, N) == dense_euler(s, N), s
+    for a, m in PAIRS:
+        for sign in (1, -1):
+            assert jacobi(a, m, sign, N) == dense_jacobi(a, m, sign, N), (a, m, sign)
+
+
+@pytest.mark.parametrize("N", ORDERS)
+def test_div_sparse_matches_repeated_div1(N):
+    # divisors prod (1 - q^e) with repeated e (coefficients beyond +-1) and
+    # (q;q)_inf, applied to a dense list with large entries
+    f = [(-1) ** n * pow(7, n, 1000003) << (n % 50) for n in range(N + 1)]
+    for exponents in ((2, 3, 3, 5), (1, 1, 4), range(1, N + 1)):
+        s = qprod([(-1, exponents, 1)], N)
+        want = list(f)
+        for e in exponents:
+            if e <= N:
+                kernel.div1(want, e, 1, N)
+        co = list(f)
+        assert div_sparse(co, s, N) is co
+        assert co == want, exponents
+
+
+def dense_prefactor(a, m, flavor, N):
+    # the symmetric prefactors as (1 +- q^e) tables, one row per factor power
+    parts, evens = range(1, N + 1), range(2, N + 1, 2)
+    mults, mults2 = range(m, N + 1, m), range(2 * m, N + 1, 2 * m)
+    classes = [range(e0, N + 1, m) for e0 in (a, m - a)]
+    if flavor == "01":
+        table = ([(-1, evens, 1)] + [(1, c, -1) for c in classes]
+                 + [(-1, mults, -1), (-1, parts, -1)])
+    elif flavor == "10":
+        table = [(-1, c, 1) for c in classes] + [(-1, parts, -1)] + [(-1, mults, -1)] * 2
+    else:
+        table = ([(-1, evens, 1)] + [(-1, mults2, 1)] * 2 + [(-1, c, 1) for c in classes]
+                 + [(-1, parts, -1)] * 2 + [(-1, mults, -1)] * 4
+                 + [(1, c, -1) for c in classes])
+    return qprod(table, N)
+
+
+@pytest.mark.parametrize("N", ORDERS)
+def test_symmetric_prefactors_and_unit_totals_match_dense_tables(N):
+    for a, m in PAIRS:
+        for flavor in ("01", "10", "11"):
+            got = engine._symmetric_prefactor(a, m, flavor, N)
+            assert got == dense_prefactor(a, m, flavor, N), (a, m, flavor)
+    parts = range(1, N + 1)
+    for (x, y), table in (((1, 0), [(-1, parts, -1)]),
+                          ((0, 1), [(1, parts, 1)]),
+                          ((1, 1), [(1, parts, 1), (-1, parts, -1)])):
+        assert engine._total_graded(x, y, 1, N) == tuple(qprod(table, N)), (x, y)

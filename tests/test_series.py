@@ -168,17 +168,15 @@ def test_qprod_matches_series_products(D):
     # (1 + (3/D) q^e)^2 over odd e times (1 - (5/D) q^e)^-2 over e = 2 mod 3,
     # D^n-graded, against the same product from series multiply and invert
     N = 20
-    table = [(3, range(1, N + 1, 2), 2), (-5, range(2, N + 1, 3), -2)]
+    odd, two_mod_3 = range(1, N + 1, 2), range(2, N + 1, 3)
+    table = [(3, odd, 1), (3, odd, 1), (-5, two_mod_3, -1), (-5, two_mod_3, -1)]
     graded = qprod(table, N, D)
     ref = TruncatedSeries.one("rational", N)
     for u, exponents, power in table:
         for e in exponents:
             f = TruncatedSeries.monomial("rational", N, e, rational(u, D))
             f.coeffs[0] = rational(1)
-            if power < 0:
-                f = f.invert()
-            for _ in range(abs(power)):
-                ref = ref * f
+            ref = ref * (f if power > 0 else f.invert())
     assert [rational(c, D**n) for n, c in enumerate(graded)] == ref.coeffs
     # one weight-ladder rung (x + y q^e) / (1 - q^f) with x = 3/D, y = 5/D
     # gains one overall factor D; shifted by q and regraded, index n
