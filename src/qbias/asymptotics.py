@@ -163,12 +163,16 @@ def tauberian_predict_log(profile: AsymptoticProfile, n) -> float:
     """
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
+    try:
+        n = float(n)
+    except OverflowError:
+        raise InvalidParameterError("n is too large for a float") from None
     al, be, ga, ro = profile.alpha, profile.beta, profile.gamma, profile.rho
     expo = (1.0 + 2.0 * ga) / (2.0 * (1.0 + ro))
     ln_front = math.log(al) + expo * math.log(be) - 0.5 * math.log(2.0 * math.pi * (1.0 + ro))
     power = -expo - 0.5
-    growth = (1.0 + 1.0 / ro) * be ** (1.0 / (1.0 + ro)) * float(n) ** (ro / (1.0 + ro))
-    return ln_front + power * math.log(float(n)) + growth
+    growth = (1.0 + 1.0 / ro) * be ** (1.0 / (1.0 + ro)) * n ** (ro / (1.0 + ro))
+    return ln_front + power * math.log(n) + growth
 
 
 def tauberian_predict(profile: AsymptoticProfile, n) -> float:

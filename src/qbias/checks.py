@@ -22,7 +22,7 @@ from .engine import (
     monotonicity_check,
     symmetric_distinct_pair,
 )
-from .kernel import add_shifted, div1, graded_shift, qprod, rung, scaled_weights, ungrade
+from .kernel import add_shifted, div1, qprod, rung, scaled_weights, ungrade
 from .scalars import (
     INTEGER,
     InvalidParameterError,
@@ -122,20 +122,18 @@ def _as_weight(v):
     return v
 
 
-def _graded_weight_ladder_sum(P, Q, D, s, m, exp_mult, N):
-    """Graded sum over k >= 0 of prod_{j<k}(x+y q^{s+jm}) q^{exp_mult*(k+1)}
+def _ladder_sum(P, Q, D, s, m, c, N):
+    """Graded sum over k >= 0 of prod_{j<k}(x+y q^{s+jm}) q^{c*(k+1)}
     divided by (q^s;q^m)_{k+1}.
 
     Shared shape of both branches of the paired-sum difference check.
     """
     acc = [0] * (N + 1)
-    term = [1] + [0] * N  # the k = 0 rung, 1/(1 - q^s), carries D^0
-    div1(term, s, 1, N)
+    term = rung([1] + [0] * N, D, 0, D, c, 0, s, N)  # the k = 0 term, q^c / (1 - q^s)
     k = 0
-    while exp_mult * (k + 1) <= N and any(term):
-        off = exp_mult * (k + 1)
-        add_shifted(acc, off, graded_shift(term, off, k, D, N))
-        term = rung(term, P, Q, s + k * m, s + (k + 1) * m, N)
+    while any(term):
+        add_shifted(acc, 0, term)
+        term = rung(term, P, Q, D, c, s + k * m, s + (k + 1) * m, N)
         k += 1
     return acc
 
@@ -162,8 +160,8 @@ def _expand_maino(params, N):
     _require(isinstance(s, int) and s >= 1, "s must be a positive integer")
     _require(x >= 1, "need x >= 1")
     P, Q, D = scaled_weights(x, y)
-    first = _graded_weight_ladder_sum(P, Q, D, s, m, a, N)
-    second = _graded_weight_ladder_sum(P, Q, D, s, m, a * b, N)
+    first = _ladder_sum(P, Q, D, s, m, a, N)
+    second = _ladder_sum(P, Q, D, s, m, a * b, N)
     co = [u - v for u, v in zip(first, second)]
     return TruncatedSeries.from_coeffs(*ungrade(co, D))
 
@@ -397,7 +395,10 @@ def _run_sweep(name, tasks, N, jobs, witnesses=None) -> SweepReport:
     """
     if not tasks:
         raise InvalidParameterError(f"the {name} sweep has no comparison to run")
-    jobs = jobs or default_jobs()
+    if jobs is None:
+        jobs = default_jobs()
+    elif jobs < 1:
+        raise InvalidParameterError(f"jobs must be a positive integer, not {jobs!r}")
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_compare_worker, tasks, chunksize=8))

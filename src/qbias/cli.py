@@ -65,6 +65,13 @@ def _int_list(text):
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"need a positive integer, not {text!r}")
+    return value
+
+
 def _float_list(text):
     vals = [float(tok) for tok in text.split(",") if tok.strip()]
     if not all(map(math.isfinite, vals)):
@@ -76,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--jobs", type=int, default=None,
+    common.add_argument("--jobs", type=_positive_int, default=None,
                         help="worker processes for sweeps (default: QBIAS_JOBS or all cores)")
     top = argparse.ArgumentParser(
         prog="qbias",

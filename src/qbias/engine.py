@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .kernel import (add_shifted, euler, graded_shift, jacobi, mul_trunc, qprod, quotient,
-                     rung, scaled_weights, ungrade)
+from .kernel import (add_shifted, euler, jacobi, mul_trunc, qprod, quotient, rung,
+                     scaled_weights, ungrade)
 from .scalars import (
     INTEGER,
     RATIONAL,
@@ -93,25 +93,18 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
     return tuple(qprod(factors, N, D, list(_total_graded(P, Q, D, N))))
 
 
-def _ord_u(k, P, m):
-    """q-order of the k-th weight ladder series (quadratic when x = 0)."""
-    return 0 if P else m * k * (k - 1) // 2
-
-
-def _u_ladder(P, Q, D, m, N, kmax):
-    """Integer ladder L_k = D^k * prod_{j<k}(x+y q^{jm}) / (q^m;q^m)_k, k <= kmax."""
-    ladder = [[1] + [0] * N]
-    for k in range(1, kmax + 1):
-        ladder.append(rung(ladder[-1], P, Q, (k - 1) * m, k * m, N))
-    return ladder
-
-
 def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     """p_n(a,b,m;x,y) for n <= N via the restricted double-sum form.
 
-    The sum runs over index pairs n1 > n >= 0 with weight ladder factors
-    at q^{a*n1 + b*n}; truncation bounds follow the exact q-orders, so the
-    x = 0 case (quadratic orders) stays cheap at large N.
+    The sum over index pairs n1 > n >= 0 of q^{a*n1 + b*n} L_{n1} L_n, with
+    the weight ladder L_k = prod_{j<k}(x + y q^{jm}) / (q^m;q^m)_k, is taken
+    in two passes of one :func:`rung` step each.  Upward, the rows
+    A_k = q^{ak} L_k are built until the first row that vanishes mod
+    q^{N+1}; a row's lowest term is x^k q^{ak}, or y^k q^{ak + m k(k-1)/2}
+    when x = 0, so every later row vanishes too.  Downward, Horner's rule
+    T_n = S_{n+1} + q^b (x + y q^{nm}) / (1 - q^{(n+1)m}) T_{n+1}, with the
+    suffix S_{n+1} = sum_{k>n} A_k, gives the sum as T_0, which is then
+    multiplied by the product prefactor.
     """
     if spec.marker:
         raise InvalidParameterError("generating-function engine needs numeric weights")
@@ -120,29 +113,19 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     a, b, m = spec.a, spec.b, spec.m
     P, Q, D = scaled_weights(spec.x, spec.y)
 
-    kmax = 0
-    while _ord_u(kmax + 1, P, m) + a * (kmax + 1) <= N:
-        kmax += 1
+    rows = [[1] + [0] * N]
+    while any(rows[-1]):
+        k = len(rows)
+        rows.append(rung(rows[-1], P, Q, D, a, (k - 1) * m, k * m, N))
+    rows.pop()  # the first row that vanishes
     graded = [0] * (N + 1)
-    if kmax >= 1:
-        ladder = _u_ladder(P, Q, D, m, N, kmax)
-        shifted_a = [None] + [graded_shift(ladder[k], a * k, k, D, N)
-                              for k in range(1, kmax + 1)]
+    if len(rows) > 1:
         suffix = [0] * (N + 1)
-        for k in range(1, kmax + 1):
-            add_shifted(suffix, a * k, shifted_a[k])
         acc = [0] * (N + 1)
-        n = 0
-        while n + 1 <= kmax and (_ord_u(n, P, m) + b * n
-                                 + _ord_u(n + 1, P, m) + a * (n + 1)) <= N:
-            if n >= 1:
-                add_shifted(suffix, a * n, shifted_a[n], -1)
-            s_start = a * (n + 1) + _ord_u(n + 1, P, m)
-            off = b * n + s_start
-            # acc += q^off * (ladder n at q^{bn}) * (suffix from s_start)
-            inner = graded_shift(ladder[n], b * n, n, D, N - s_start)
-            add_shifted(acc, off, mul_trunc(inner, suffix[s_start:], N - off))
-            n += 1
+        for n in range(len(rows) - 2, -1, -1):
+            add_shifted(suffix, 0, rows[n + 1])
+            acc = rung(acc, P, Q, D, b, n * m, (n + 1) * m, N)
+            add_shifted(acc, 0, suffix)
         prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
         graded = mul_trunc(prefactor, acc, N)
     return TruncatedSeries.from_coeffs(*ungrade(graded, D))

@@ -8,14 +8,15 @@ eta and theta quotients from sparse series: Jacobi triple products
 (:func:`euler`, a triple product too), multiplied in with
 :func:`mul_trunc` and divided out with one :func:`div_sparse` pass over
 their nonzero terms each.  This module is the only place that multiplies
-such factors in, that takes a step (P + Q q^e) / (1 - q^f) of a weight
-ladder, and that shifts or multiplies whole coefficient lists.
+such factors in, that takes a step q^c (x + y q^e) / (1 - q^f) of a weight
+ladder (:func:`rung`), and that shifts or multiplies whole coefficient
+lists.
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
 weight u/D at q^e then acts with the integer u * D^(e-1); :func:`qprod`
-applies that convention, :func:`graded_shift` regrades a shifted list, and
-:func:`ungrade` turns graded lists back into exact values.
+and :func:`rung` apply that convention, and :func:`ungrade` turns graded
+lists back into exact values.
 """
 
 from __future__ import annotations
@@ -119,38 +120,19 @@ def quotient(num, den, N):
     return co
 
 
-def rung(co, P, Q, e, f, N):
-    """One weight-ladder step: co * (P + Q*q^e) / (1 - q^f) as a new list.
+def rung(co, P, Q, D, c, e, f, N):
+    """One weight-ladder step on a graded list, as a new list:
+    co * q^c (x + y q^e) / (1 - q^f) with x = P/D, y = Q/D and c >= 1.
 
-    With the scaled weights P = x*D, Q = y*D a list carrying D^deg comes out
-    carrying D^(deg+1); :func:`graded_shift` later grades it by index.
+    The weights grade as in :func:`qprod`: x q^c acts with P * D^(c-1),
+    y q^(c+e) with Q * D^(c+e-1), and 1/(1 - q^f) as 1/(1 - D^f q^f).
     """
-    out = [P * v for v in co]
+    out = [0] * (N + 1)
+    if P:
+        add_shifted(out, c, co, P * D ** (c - 1))
     if Q:
-        for n in range(e, N + 1):
-            p = co[n - e]
-            if p:
-                out[n] += Q * p
-    div1(out, f, 1, N)
-    return out
-
-
-def graded_shift(co, off, deg, D, N):
-    """co * q^off truncated at N, as the list s with s[j] at index off + j.
-
-    ``co`` carries D^deg; the entry landing at index off + j is multiplied
-    by D^(j + off - deg), so that it carries D^(off + j).
-    """
-    lim = N + 1 - off
-    if lim <= 0:
-        return []
-    if D == 1:
-        return co[:lim]
-    pw = D ** (off - deg)
-    out = []
-    for v in co[:lim]:
-        out.append(v * pw)
-        pw *= D
+        add_shifted(out, c + e, co, Q * D ** (c + e - 1))
+    div1(out, f, D**f, N)
     return out
 
 

@@ -7,7 +7,7 @@ only numeric escape hatch is :func:`evaluate_numeric`.
 
 from __future__ import annotations
 
-from .kernel import mul_trunc, qprod
+from .kernel import div_sparse, mul_trunc, qprod
 from .scalars import (
     INTEGER,
     RATIONAL,
@@ -159,16 +159,8 @@ class TruncatedSeries:
                 raise SingularSeriesError("zero constant term")
             inv0 = rational(1) / c0
         N = self.order
-        out = [_zero(domain)] * (N + 1)
-        out[0] = inv0
-        a = self.coeffs
-        for n in range(1, N + 1):
-            acc = _zero(domain)
-            for k in range(1, n + 1):
-                ak = a[k]
-                if ak:
-                    acc = acc + ak * out[n - k]
-            out[n] = -(acc * inv0)
+        out = [inv0] + [_zero(domain)] * N
+        div_sparse(out, [inv0 * v for v in self.coeffs], N)
         s = TruncatedSeries.__new__(TruncatedSeries)
         s.domain, s.order, s.coeffs = domain, N, out
         return s

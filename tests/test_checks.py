@@ -15,6 +15,7 @@ from qbias import (
     nonneg_suite,
     random_nonneg_params,
     rational,
+    TruncatedSeries,
 )
 
 
@@ -60,6 +61,35 @@ def test_maino_example_and_degenerate():
     assert rep.passed  # b = 1 collapses both branches to the same sum
     series = nonneg_expand("maino", {"x": 2, "y": 1, "a": 3, "b": 1, "m": 5, "s": 2}, 120)
     assert all(c == 0 for c in series.coeffs)
+
+
+def test_maino_matches_series_products():
+    # each branch sum_k prod_{j<k}(x + y q^{s+jm}) q^{c(k+1)} / (q^s;q^m)_{k+1},
+    # c = a and c = ab, from series multiply and invert
+    N = 60
+
+    def binomial(c0, e, ce):
+        co = [rational(0)] * (N + 1)
+        co[0] = rational(c0)
+        co[e] += rational(ce)
+        return TruncatedSeries("rational", N, co)
+
+    for a, b, m, s, x, y in ((1, 2, 4, 3, 1, 0), (2, 3, 3, 1, rational(3, 2), rational(1, 3)),
+                             (1, 4, 2, 2, 2, 1), (3, 2, 5, 4, 1, rational(5, 2))):
+        branches = []
+        for c in (a, a * b):
+            total = TruncatedSeries.zero("rational", N)
+            term = TruncatedSeries.one("rational", N)
+            k = 0
+            while c * (k + 1) <= N:
+                if s + k * m <= N:
+                    term = term * binomial(1, s + k * m, -1).invert()
+                total = total + term.shift(c * (k + 1))
+                term = term * (binomial(x, s + k * m, y) if s + k * m <= N else binomial(x, 0, 0))
+                k += 1
+            branches.append(total.coeffs)
+        got = nonneg_expand("maino", {"a": a, "b": b, "m": m, "s": s, "x": x, "y": y}, N)
+        assert got.coeffs == [u - v for u, v in zip(*branches)]
 
 
 def test_andrews_example():
@@ -140,6 +170,14 @@ def test_dominance_sweep_rejects_small_x():
     for xs in ([rational(1, 2)], ["1/2"]):
         with pytest.raises(InvalidParameterError):
             dominance_sweep(3, xs, [0], 40)
+
+
+def test_sweeps_reject_jobs_below_one():
+    for jobs in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            dominance_sweep(3, [1], [0], 20, jobs=jobs)
+        with pytest.raises(InvalidParameterError):
+            distinct_dominance_sweep(4, [1], 20, jobs=jobs)
 
 
 def test_distinct_dominance_sweep_small():

@@ -16,7 +16,7 @@ from qbias import (
     rational,
     theta_partial,
 )
-from qbias.kernel import graded_shift, qprod, rung
+from qbias.kernel import qprod, rung
 
 N = 24
 
@@ -163,7 +163,7 @@ def test_pochhammer_self_inverse():
     assert (s * s.invert()).coeffs == TruncatedSeries.one("integer", 25).coeffs
 
 
-@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("D", [1, 2, 3])
 def test_qprod_matches_series_products(D):
     # (1 + (3/D) q^e)^2 over odd e times (1 - (5/D) q^e)^-2 over e = 2 mod 3,
     # D^n-graded, against the same product from series multiply and invert
@@ -178,19 +178,19 @@ def test_qprod_matches_series_products(D):
             f.coeffs[0] = rational(1)
             ref = ref * (f if power > 0 else f.invert())
     assert [rational(c, D**n) for n, c in enumerate(graded)] == ref.coeffs
-    # one weight-ladder rung (x + y q^e) / (1 - q^f) with x = 3/D, y = 5/D
-    # gains one overall factor D; shifted by q and regraded, index n
-    # carries D^n
-    for e, f in ((2, 3), (0, 4)):
-        step = rung(ref.coeffs, 3, 5, e, f, N)
-        num = TruncatedSeries.monomial("rational", N, e, rational(5, D))
-        num.coeffs[0] += rational(3, D)
-        den = TruncatedSeries.monomial("rational", N, f, rational(-1))
-        den.coeffs[0] = rational(1)
-        want = ref * num * den.invert()
-        assert [c / D for c in step] == want.coeffs
-        shifted = graded_shift(step, 1, 1, D, N)
-        assert [c / D ** (j + 1) for j, c in enumerate(shifted)] == want.coeffs[:N]
+    # one weight-ladder rung q^c (x + y q^e) / (1 - q^f) with x = P/D,
+    # y = Q/D keeps the grading: index n still carries D^n, in integers
+    for c in (1, 2):
+        for P, Q in ((3, 5), (0, 5), (3, 0)):
+            for e, f in ((2, 3), (0, 4)):
+                step = rung(graded, P, Q, D, c, e, f, N)
+                num = TruncatedSeries.monomial("rational", N, c + e, rational(Q, D))
+                num.coeffs[c] += rational(P, D)
+                den = TruncatedSeries.monomial("rational", N, f, rational(-1))
+                den.coeffs[0] = rational(1)
+                want = ref * num * den.invert()
+                assert all(type(v) is int for v in step)
+                assert [rational(v, D**n) for n, v in enumerate(step)] == want.coeffs
 
 
 def test_theta_partial_values():
