@@ -90,13 +90,25 @@ def _alternating_sum(term, terms: int = 48) -> float:
     return s / d
 
 
+def _require_float_classes(a, m):
+    """Reject a modulus below 1, or a or m outside float range, before any
+    float arithmetic divides by m (a/m would underflow to 0.0)."""
+    if not (isinstance(a, int) and isinstance(m, int) and m >= 1):
+        raise InvalidParameterError("need integers a and m >= 1")
+    try:
+        float(a), float(m)
+    except OverflowError:
+        raise InvalidParameterError("a and m must be within float range") from None
+
+
 def digamma_diff(a: int, m: int) -> float:
     """psi((m+a)/(2m)) - psi(a/(2m)), via 2 * sum_{k>=0} (-1)^k / (k + a/m).
 
     Relative accuracy is far below 1e-12; an independent digamma
     implementation cross-checks this route in the tests.
     """
-    if not (isinstance(a, int) and isinstance(m, int) and 1 <= a < m):
+    _require_float_classes(a, m)
+    if not 1 <= a < m:
         raise InvalidParameterError("need integers 1 <= a < m")
     r = a / m
     return 2.0 * _alternating_sum(lambda k: 1.0 / (k + r))
@@ -322,6 +334,7 @@ def boundary_check(a: int, m: int, flavor: str, z_samples, h: int = 0,
     to decay).  A failing tail bound rejects the call and names a feasible
     order; an order above 2^15, given or needed, is an invalid parameter.
     """
+    _require_float_classes(a, m)
     z_samples = sorted(float(z) for z in z_samples)
     if not z_samples or z_samples[0] <= 0:
         raise InvalidParameterError("z samples must be positive")
@@ -334,6 +347,7 @@ def boundary_check(a: int, m: int, flavor: str, z_samples, h: int = 0,
         raise InvalidParameterError(f"boundary orders stop at N = {_MAX_BOUNDARY_ORDER}")
     series = bias_series_symmetric(a, m, flavor, N)
     twisted = h % m != 0
+    angle = 2 * math.pi * (h % m) / m
     rows = []
     for z in sorted(z_samples, reverse=True):
         q0 = math.exp(-z / m)
@@ -346,8 +360,7 @@ def boundary_check(a: int, m: int, flavor: str, z_samples, h: int = 0,
             ref = boundary_main_term(a, m, flavor, z)
             rows.append((z, real_val.value, ref, real_val.value / ref))
         else:
-            point = q0 * complex(math.cos(2 * math.pi * h / m),
-                                 math.sin(2 * math.pi * h / m))
+            point = q0 * complex(math.cos(angle), math.sin(angle))
             tw_val = evaluate_numeric(series, point)
             ratio = abs(tw_val.value) / abs(real_val.value)
             rows.append((z, abs(tw_val.value), abs(real_val.value), ratio))

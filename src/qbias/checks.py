@@ -42,18 +42,7 @@ __all__ = [
     "distinct_dominance_sweep",
     "SweepReport",
     "cross_check_matrix",
-    "default_jobs",
 ]
-
-
-def default_jobs() -> int:
-    env = os.environ.get("QBIAS_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 # -- divisor witness for the distinct-parts dominance family -------------------
@@ -396,7 +385,7 @@ def _run_sweep(name, tasks, N, jobs, witnesses=None) -> SweepReport:
     if not tasks:
         raise InvalidParameterError(f"the {name} sweep has no comparison to run")
     if jobs is None:
-        jobs = default_jobs()
+        jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise InvalidParameterError(f"jobs must be a positive integer, not {jobs!r}")
     if jobs > 1 and len(tasks) > 1:

@@ -84,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--out", help="write the report to this path instead of stdout")
     common.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes for sweeps (default: QBIAS_JOBS or all cores)")
+                        help="worker processes for sweeps (default: all cores)")
     top = argparse.ArgumentParser(
         prog="qbias",
         description="Exact residue-class bias computations and verifications.",

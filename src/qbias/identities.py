@@ -67,18 +67,25 @@ def _require_formal(cond, what):
             f"substitution leaves the formal validity region: {what}")
 
 
-def _shift_scale(co, c, e, N):
-    """In place: co *= c * q^e."""
-    if e:
-        co[:] = [rational(0)] * e + co[: N + 1 - e]
-    if c != 1:
-        co[:] = [c * v for v in co]
+def _phi(num, den, z, N):
+    """sum_n prod_i (a_i;q)_n / prod_j (b_j;q)_n z^n mod q^{N+1}, as a list.
 
-
-def _rational_one(N):
-    co = [rational(0)] * (N + 1)
-    co[0] = rational(1)
-    return co
+    Every parameter is a monomial (c, s) = c q^s; z and each b_j need s >= 1.
+    The term of z^n starts at q^{n s_z}, so the sum stops at n = N // s_z.
+    """
+    cz, sz = z
+    term = [rational(1)] + [rational(0)] * N
+    out = term[:]
+    for n in range(N // sz):
+        for c, s in num:
+            mul1(term, s + n, -c, N)
+        for c, s in den:
+            div1(term, s + n, c, N)
+        term = [rational(0)] * sz + term[: N + 1 - sz]
+        if cz != 1:
+            term = [cz * v for v in term]
+        out = [u + v for u, v in zip(out, term)]
+    return out
 
 
 def _check_jacobi(params, N):
@@ -89,42 +96,24 @@ def _check_jacobi(params, N):
     """
     c, s = _monomial(params.get("zeta", (params.get("c", 1), params.get("s", 1))))
     _require_formal(s >= 1, "zeta must have positive q-order")
-    shift = s * (s - 1) // 2
-    inv_c = rational(1) / c
 
-    # Laurent factors of (-q/zeta;q)_inf with exponent <= 0, times q^shift.
-    lau = {0: rational(1)}
-    for k in range(s):
-        nxt = dict(lau)
-        for e, v in lau.items():
-            key = e - k
-            nxt[key] = nxt.get(key, rational(0)) + inv_c * v
-        lau = nxt
-    lhs = [rational(0)] * (N + 1)
-    for e, v in lau.items():
-        if 0 <= e + shift <= N:
-            lhs[e + shift] = v
-
+    # The factors of (-q/zeta;q)_inf of order <= 0, times q^{s(s-1)/2}, are
+    # c^{-s} prod_{j<s} (1 + c q^j); mul1 at exponent 0 scales by 1 + c.
+    lhs = [c**-s] + [rational(0)] * N
+    for j in range(s):
+        mul1(lhs, j, c, N)
     head = TruncatedSeries(RATIONAL, N, lhs)
-    head = head * pochhammer_product(inv_c, 1, 1, 1, N, RATIONAL)
+    head = head * pochhammer_product(1 / c, 1, 1, 1, N, RATIONAL)
     head = head * pochhammer_product(c, 1, s, 1, N, RATIONAL)
     head = head * pochhammer_product(1, -1, 1, 1, N, RATIONAL)
 
+    # After the shift the term of zeta^n sits at q^{k(k-1)/2} with k = n + s,
+    # which grows along k = 0, 1, ... and along k = -1, -2, ...
     rhs = [rational(0)] * (N + 1)
-    n = 0
-    while True:
-        e = n * (n - 1) // 2 + s * n + shift
-        if e > N:
-            break
-        rhs[e] += c**n
-        n += 1
-    n = -1
-    while True:
-        e = n * (n - 1) // 2 + s * n + shift
-        if e > N:
-            break
-        rhs[e] += inv_c ** (-n)
-        n -= 1
+    for k, step in ((0, 1), (-1, -1)):
+        while k * (k - 1) // 2 <= N:
+            rhs[k * (k - 1) // 2] += c ** (k - s)
+            k += step
     return head.coeffs, rhs
 
 
@@ -139,27 +128,11 @@ def _check_fine(params, N):
     cu = ca * cz / cg
     _require_formal(su >= 0, "alpha*z/gamma must have non-negative q-order")
 
-    lhs = [rational(0)] * (N + 1)
-    term = _rational_one(N)
-    div1(term, sg, cg, N)
-    n = 0
-    while n * sz <= N:
-        lhs = [u + v for u, v in zip(lhs, term)]
-        mul1(term, sa + n, -ca, N)
-        _shift_scale(term, cz, sz, N)
-        div1(term, sg + n + 1, cg, N)
-        n += 1
-
-    rhs = [rational(0)] * (N + 1)
-    term = _rational_one(N)
-    div1(term, sz, cz, N)
-    n = 0
-    while n * sg <= N:
-        rhs = [u + v for u, v in zip(rhs, term)]
-        mul1(term, su + n, -cu, N)
-        _shift_scale(term, cg, sg, N)
-        div1(term, sz + n + 1, cz, N)
-        n += 1
+    # (x;q)_{n+1} = (1 - x) (xq;q)_n
+    lhs = _phi([(ca, sa)], [(cg, sg + 1)], (cz, sz), N)
+    div1(lhs, sg, cg, N)
+    rhs = _phi([(cu, su)], [(cz, sz + 1)], (cg, sg), N)
+    div1(rhs, sz, cz, N)
     return lhs, rhs
 
 
@@ -183,29 +156,8 @@ def _check_heine(params, N):
     cw = ca * cb * cz / cg
     _require_formal(sw >= 0, "alpha*beta*z/gamma must have non-negative q-order")
 
-    lhs = [rational(0)] * (N + 1)
-    term = _rational_one(N)
-    n = 0
-    while n * sz <= N:
-        lhs = [u + v for u, v in zip(lhs, term)]
-        mul1(term, sa + n, -ca, N)
-        mul1(term, sb + n, -cb, N)
-        div1(term, sg + n, cg, N)
-        div1(term, n + 1, 1, N)
-        _shift_scale(term, cz, sz, N)
-        n += 1
-
-    inner = [rational(0)] * (N + 1)
-    term = _rational_one(N)
-    n = 0
-    while n * sv <= N:
-        inner = [u + v for u, v in zip(inner, term)]
-        mul1(term, sw + n, -cw, N)
-        mul1(term, sb + n, -cb, N)
-        div1(term, sb + sz + n, cb * cz, N)
-        div1(term, n + 1, 1, N)
-        _shift_scale(term, cv, sv, N)
-        n += 1
+    lhs = _phi([(ca, sa), (cb, sb)], [(cg, sg), (1, 1)], (cz, sz), N)
+    inner = _phi([(cw, sw), (cb, sb)], [(cb * cz, sb + sz), (1, 1)], (cv, sv), N)
     rhs = TruncatedSeries(RATIONAL, N, inner)
     rhs = rhs * pochhammer_product(cv, -1, sv, 1, N, RATIONAL)
     rhs = rhs * pochhammer_product(cb * cz, -1, sb + sz, 1, N, RATIONAL)

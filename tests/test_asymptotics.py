@@ -145,6 +145,8 @@ def test_boundary_twisted_decay():
     rep = boundary_check(1, 3, "10", [0.4], h=1)
     assert rep.kind == "decay"
     assert rep.rows[0][3] < 0.6
+    # a 400-digit h twists by h % m
+    assert boundary_check(1, 3, "10", [0.4], h=3 * 10**399 + 1).rows == rep.rows
 
 
 def test_overpartition_prediction_against_exact():

@@ -40,6 +40,10 @@ def test_invalid_config_exit_2_and_json_error():
                  ["asymptotics", "boundary", "--a", "1", "--m", "3", "--z", "inf"],
                  ["asymptotics", "constants", "--a", "1", "--m", "3",
                   "--out", "/nonexistent/x.json"],
+                 # a modulus below 1 or beyond float range
+                 ["asymptotics", "boundary", "--a", "1", "--m", "0", "--z", "0.5"],
+                 ["asymptotics", "boundary", "--a", "1", "--m", "-3", "--z", "0.5"],
+                 ["asymptotics", "constants", "--a", "1", "--m", "1" + "0" * 400],
                  # verifications that would compare nothing
                  ["cross-check", "--m-max", "0"],
                  ["verify", "thm1", "--m-max", "1"],

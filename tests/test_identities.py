@@ -4,18 +4,21 @@ import pytest
 
 from qbias import InvalidParameterError, rational, verify_identity
 
-JACOBI_GRID = [(1, 1), (1, 2), (-1, 2), (2, 3), (-3, 1)]
+# (2, 20): the common shift s(s-1)/2 = 190 lies beyond the order N = 150
+JACOBI_GRID = [(1, 1), (1, 2), (-1, 2), (2, 3), (-3, 1), (rational(-2, 3), 4), (2, 20)]
 
 FINE_SUBS = [
     {"alpha": (1, 2), "gamma": (1, 3), "z": (1, 1)},
     {"alpha": (2, 1), "gamma": (1, 2), "z": (1, 1)},
     {"alpha": (1, 1), "gamma": (rational(1, 2), 2), "z": (1, 2)},
+    {"alpha": (1, 2), "gamma": (1, 2), "z": (-2, 1)},
 ]
 
 HEINE_SUBS = [
     {"alpha": (1, 1), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
     {"alpha": (1, 2), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
     {"alpha": (2, 1), "beta": (1, 1), "gamma": (1, 3), "z": (1, 2)},
+    {"alpha": (1, 1), "beta": (1, 1), "gamma": (1, 2), "z": (3, 1)},
 ]
 
 POINTS = [(0.2, 0.5), (0.15, 0.4), (0.1, 0.3)]
