@@ -335,6 +335,8 @@ def boundary_check(a: int, m: int, flavor: str, z_samples, h: int = 0,
     order; an order above 2^15, given or needed, is an invalid parameter.
     """
     _require_float_classes(a, m)
+    if flavor not in FLAVOR_XY:
+        raise InvalidParameterError("flavor must be one of '01', '10', '11'")
     z_samples = sorted(float(z) for z in z_samples)
     if not z_samples or z_samples[0] <= 0:
         raise InvalidParameterError("z samples must be positive")
@@ -356,6 +358,8 @@ def boundary_check(a: int, m: int, flavor: str, z_samples, h: int = 0,
             need = suggest_boundary_order(flavor, m, z)
             raise TailBoundError(
                 f"truncation tail too large at z={z}; rerun with N >= {need}")
+        if real_val.value == 0.0:
+            raise InvalidParameterError(f"the series underflows to 0.0 at z={z}; take a smaller z")
         if not twisted:
             ref = boundary_main_term(a, m, flavor, z)
             rows.append((z, real_val.value, ref, real_val.value / ref))

@@ -22,7 +22,7 @@ from .engine import (
     monotonicity_check,
     symmetric_distinct_pair,
 )
-from .kernel import add_shifted, div1, qprod, rung, scaled_weights, ungrade
+from .kernel import add_shifted, div1, mul1, rung, scaled_weights, ungrade
 from .scalars import (
     INTEGER,
     InvalidParameterError,
@@ -135,8 +135,8 @@ def _expand_f_series(params, N):
     _require((a, b) != (1, 2), "the claim excludes (a, b) = (1, 2)")
     P, Q, D = scaled_weights(x, y)
     co = list(_prefactor_graded(a, b, m, P, Q, D, N))
-    # * (1 - q^{b-a}): the weight -D/D grades to -D^(b-a)
-    co = qprod([(-D, (b - a,), 1)], N, D, co)
+    if b - a <= N:
+        mul1(co, b - a, -D ** (b - a), N)  # * (1 - q^{b-a}), graded
     return TruncatedSeries.from_coeffs(*ungrade(co, D))
 
 
@@ -195,8 +195,10 @@ def _expand_andrews(params, N):
         if off > N:
             return co
         co[off] = P**h * D ** (off - h)  # graded (x q^lead)^h
-        # * prod_{e in seq} (1 + y q^e) / (1 - x q^e)
-        return qprod([(Q, seq, 1), (-P, seq, -1)], N, D, co)
+        for e in (e for e in seq if e <= N):  # * (1 + y q^e) / (1 - x q^e), graded
+            mul1(co, e, Q * D ** (e - 1), N)
+            div1(co, e, P * D ** (e - 1), N)
+        return co
 
     co = [u - v for u, v in zip(branch(a_seq, a0), branch(b_seq, b0))]
     return TruncatedSeries.from_coeffs(*ungrade(co, D))

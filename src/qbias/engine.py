@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .kernel import (add_shifted, euler, jacobi, mul_trunc, qprod, quotient, rung,
+from .kernel import (add_shifted, euler, jacobi, mul_trunc, progression, quotient, rung,
                      scaled_weights, ungrade)
 from .scalars import (
     INTEGER,
@@ -55,10 +55,11 @@ __all__ = [
 def _total_graded(P, Q, D, N):
     """Graded coefficients of (-yq;q)_inf / (xq;q)_inf."""
     if D == 1 and P in (0, 1) and Q in (0, 1):
+        # kept: 1.6-1.8x faster than two progression sums at N = 2000 (0.030 vs 0.054 s)
         # (-q;q)_inf^Q / (q;q)_inf^P = E_2^Q / E_1^(P+Q), E_s = (q^s;q^s)_inf
         return tuple(quotient([euler(2, N)] * Q, [euler(1, N)] * (P + Q), N))
-    parts = range(1, N + 1)
-    return tuple(qprod([(Q, parts, 1), (-P, parts, -1)], N, D))
+    co = progression([1] + [0] * N, Q, 1, 1, 1, D, N)
+    return tuple(progression(co, -P, 1, 1, -1, D, N))
 
 
 def total_weighted_series(x, y, N: int) -> TruncatedSeries:
@@ -86,11 +87,10 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
     (-yq;q)_inf (xq^a, xq^b; q^m)_inf / ((xq;q)_inf (-yq^a, -yq^b; q^m)_inf);
     symmetric under a <-> b, so callers pass the classes as lo <= hi.
     """
-    factors = []
-    for e0 in (lo, hi):
-        classes = range(e0, N + 1, m)
-        factors += [(-P, classes, 1), (Q, classes, -1)]
-    return tuple(qprod(factors, N, D, list(_total_graded(P, Q, D, N))))
+    co = _total_graded(P, Q, D, N)
+    for s in (lo, hi):
+        co = progression(progression(co, -P, s, m, 1, D, N), Q, s, m, -1, D, N)
+    return tuple(co)
 
 
 def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:

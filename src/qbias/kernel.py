@@ -1,22 +1,21 @@
 """Truncated q-products on plain coefficient lists.
 
-A product is built one of two ways.  :func:`qprod` applies a table of
-factors (1 + u q^e)^(+-1) over sets of exponents e >= 1 to a dense
-coefficient list c_0..c_N, one pass per factor.  :func:`quotient` builds
-eta and theta quotients from sparse series: Jacobi triple products
-(:func:`jacobi`) and Euler's pentagonal series for (q^s;q^s)_inf
-(:func:`euler`, a triple product too), multiplied in with
-:func:`mul_trunc` and divided out with one :func:`div_sparse` pass over
-their nonzero terms each.  This module is the only place that multiplies
-such factors in, that takes a step q^c (x + y q^e) / (1 - q^f) of a weight
-ladder (:func:`rung`), and that shifts or multiplies whole coefficient
-lists.
+An infinite product is built one of two ways.  :func:`progression`
+multiplies a list c_0..c_N by a product of (1 + u q^e)^(+-1) over an
+arithmetic progression of exponents e >= 1, summed by Horner's rule.
+:func:`quotient` builds eta and theta quotients from sparse series: Jacobi
+triple products (:func:`jacobi`) and Euler's pentagonal series for
+(q^s;q^s)_inf (:func:`euler`), multiplied in with :func:`mul_trunc` and
+divided out with one :func:`div_sparse` pass over their nonzero terms each.
+This module is the only place that multiplies such factors in, singly too
+(:func:`mul1`, :func:`div1`), that takes a step q^c (x + y q^e) / (1 - q^f)
+of a weight ladder (:func:`rung`), and that shifts or multiplies lists.
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
-weight u/D at q^e then acts with the integer u * D^(e-1); :func:`qprod`
-and :func:`rung` apply that convention, and :func:`ungrade` turns graded
-lists back into exact values.
+weight u/D at q^e then acts with the integer u * D^(e-1); :func:`rung`
+and :func:`progression` apply that convention, and :func:`ungrade` turns
+graded lists back into exact values.
 """
 
 from __future__ import annotations
@@ -42,30 +41,29 @@ def div1(co, e, u, N):
             co[n] += u * p
 
 
-def qprod(factors, N, D=1, co=None):
-    """Multiply prod_e (1 + u * D^(e-1) * q^e)^power into co, mod q^{N+1}.
-
-    ``factors`` is a table of (u, exponents, power) rows with exponents
-    >= 1 and power +1 or -1.  ``co`` (default: the series 1) is changed in
-    place and returned.  With D = 1 the factors are ungraded.
+def progression(co, u, s, m, power, D, N):
+    """co * prod_{k>=0} (1 + u D^(e-1) q^e)^power over e = s + km mod q^{N+1},
+    as a new list, for s, m >= 1 and power +1 or -1.  With z = power * u / D
+    that is Euler's sum of z^n q^{sn + m n(n-1)/2} / (q^m;q^m)_n for power +1
+    and Cauchy's of z^n q^{sn + m n(n-1)} / ((q^m;q^m)_n (z q^s;q^m)_n) for -1
+    (G. E. Andrews, *The Theory of Partitions*, ch. 2), taken by Horner's
+    rule seeded with co, one :func:`rung` a term.
     """
-    if co is None:
-        co = [0] * (N + 1)
-        co[0] = 1
-    for u, exponents, power in factors:
-        if power not in (1, -1):
-            raise ValueError(f"q-product rows take power +1 or -1, not {power!r}")
-        if not u:
-            continue
-        for e in exponents:
-            if e > N:
-                continue
-            w = u if D == 1 else u * D ** (e - 1)
-            if power > 0:
-                mul1(co, e, w, N)
-            else:
-                div1(co, e, -w, N)
-    return co
+    if power not in (1, -1):
+        raise ValueError(f"progression products take power +1 or -1, not {power!r}")
+    h = m if power > 0 else 2 * m  # the n-th term sits at q^{sn + h n(n-1)/2}
+    terms = 0
+    while u and s * (terms + 1) + h * terms * (terms + 1) // 2 <= N:
+        terms += 1
+    out = list(co)
+    for k in range(terms, 0, -1):  # T_{k-1} = co + (term k / term k-1) T_k
+        n = N - s * (k - 1) - h * (k - 1) * (k - 2) // 2  # T_{k-1} is used mod q^{n+1}
+        out = rung(out, power * u, 0, D, s + h * (k - 1), 0, m * k, n)
+        if power < 0:
+            e = s + m * (k - 1)
+            div1(out, e, -u * D ** (e - 1), n)
+        add_shifted(out, 0, co)
+    return out
 
 
 def jacobi(a, m, sign, N):
@@ -124,15 +122,18 @@ def rung(co, P, Q, D, c, e, f, N):
     """One weight-ladder step on a graded list, as a new list:
     co * q^c (x + y q^e) / (1 - q^f) with x = P/D, y = Q/D and c >= 1.
 
-    The weights grade as in :func:`qprod`: x q^c acts with P * D^(c-1),
-    y q^(c+e) with Q * D^(c+e-1), and 1/(1 - q^f) as 1/(1 - D^f q^f).
+    The weights grade as in the module docstring: x q^c acts with
+    P * D^(c-1), y q^(c+e) with Q * D^(c+e-1), and 1/(1 - q^f) as
+    1/(1 - D^f q^f).  Weights whose exponent passes N are never formed:
+    D^f has f * log2(D) bits, so a modulus near 10^8 would otherwise stall.
     """
     out = [0] * (N + 1)
-    if P:
+    if P and c <= N:
         add_shifted(out, c, co, P * D ** (c - 1))
-    if Q:
+    if Q and c + e <= N:
         add_shifted(out, c + e, co, Q * D ** (c + e - 1))
-    div1(out, f, D**f, N)
+    if f <= N:
+        div1(out, f, D**f, N)
     return out
 
 

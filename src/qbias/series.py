@@ -7,7 +7,7 @@ only numeric escape hatch is :func:`evaluate_numeric`.
 
 from __future__ import annotations
 
-from .kernel import div_sparse, mul_trunc, qprod
+from .kernel import div_sparse, mul_trunc, progression
 from .scalars import (
     INTEGER,
     RATIONAL,
@@ -186,7 +186,7 @@ def pochhammer_product(c, sign, offset, step, order, domain=None):
         domain = INTEGER if isinstance(c, int) else RATIONAL
     out = TruncatedSeries.one(domain, order)
     u = _coerce(domain, c if sign == 1 else -c)
-    qprod([(u, range(offset, order + 1, step), 1)], order, co=out.coeffs)
+    out.coeffs = progression(out.coeffs, u, offset, step, 1, 1, order)
     return out
 
 

@@ -134,6 +134,14 @@ def test_boundary_tail_guard():
         boundary_check(1, 3, "01", [0.2], h=0, N=80)
 
 
+def test_boundary_rejects_unknown_flavor_and_underflow():
+    with pytest.raises(InvalidParameterError, match="flavor"):
+        boundary_check(1, 3, "xx", [0.5])
+    for h in (0, 1):
+        with pytest.raises(InvalidParameterError, match="z=10000"):
+            boundary_check(1, 3, "01", [10000], h=h)
+
+
 def test_boundary_ratio_sane_at_moderate_z():
     rep = boundary_check(1, 3, "01", [0.5], h=0)
     (z, v, ref, ratio) = rep.rows[0]

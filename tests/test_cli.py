@@ -44,6 +44,9 @@ def test_invalid_config_exit_2_and_json_error():
                  ["asymptotics", "boundary", "--a", "1", "--m", "0", "--z", "0.5"],
                  ["asymptotics", "boundary", "--a", "1", "--m", "-3", "--z", "0.5"],
                  ["asymptotics", "constants", "--a", "1", "--m", "1" + "0" * 400],
+                 # a real-point value that underflows to 0.0
+                 ["asymptotics", "boundary", "--a", "1", "--m", "3", "--flavor", "01",
+                  "--z", "10000", "--h", "1"],
                  # verifications that would compare nothing
                  ["cross-check", "--m-max", "0"],
                  ["verify", "thm1", "--m-max", "1"],

@@ -173,6 +173,14 @@ def test_symmetric_rejects_bad_classes():
         bias_series_symmetric(1, 3, "xx", 20)
 
 
+def test_gf_modulus_beyond_order():
+    # with m > N only the parts a and b themselves fall in the classes, so
+    # any such m gives the same series; graded powers D^m must not be built
+    x = rational(3, 2)
+    want = bias_series_gf(BiasSpec(1, 2, 21, x, 1), 20).coeffs
+    assert bias_series_gf(BiasSpec(1, 2, 10**8, x, 1), 20).coeffs == want
+
+
 def test_symmetric_distinct_pair_swap():
     fwd, rev = symmetric_distinct_pair(2, 5, 100)
     assert fwd.coeffs == bias_series_gf(BiasSpec(2, 3, 5, 0, 1), 100).coeffs
@@ -182,7 +190,7 @@ def test_symmetric_distinct_pair_swap():
 def test_dp_and_oracle_do_not_use_the_kernel():
     # gf, dp and the oracle cross-check each other only while dp and the
     # oracle build nothing with the generating-function product kernel
-    kernel_names = {"kernel", "qprod", "mul1", "div1", "mul_trunc",
+    kernel_names = {"kernel", "progression", "mul1", "div1", "mul_trunc",
                     "rung", "add_shifted",
                     "euler", "jacobi", "div_sparse", "quotient",
                     "_kronecker", "_pack"}

@@ -1,4 +1,5 @@
-"""Every name a qbias module imports is used there or re-exported in __all__."""
+"""Every name a qbias module imports is used there or re-exported in __all__,
+and every kernel function and module-level private name has a caller."""
 
 import ast
 import pathlib
@@ -42,3 +43,49 @@ def test_checker_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def _defined(node):
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def uncalled(sources, kernel):
+    """(module, name) for every top-level function of ``kernel`` and every
+    module-level _private name in ``sources`` (module -> source text) that
+    no code in ``sources`` refers to outside the name's own definition."""
+    wanted, used = set(), set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = _defined(node)
+            for name in names:
+                if ((module == kernel and isinstance(node, ast.FunctionDef))
+                        or (name.startswith("_") and not name.startswith("__"))):
+                    wanted.add((module, name))
+            for sub in ast.walk(node):
+                ref = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if ref and ref not in names:
+                    used.add(ref)
+    return sorted((module, name) for module, name in wanted if name not in used)
+
+
+def test_caller_check_sees_helpers_used_only_by_themselves():
+    sources = {"kernel": ("def step(n):\n    return step(n - 1) if n else 0\n"
+                          "def used():\n    return 1\n"),
+               "engine": ("from .kernel import used\n"
+                          "_CACHE = {}\n_LIMIT = 3\n"
+                          "def _helper():\n    return _LIMIT\n"
+                          "def _orphan():\n    return _orphan, used()\n"
+                          "def public():\n    return _helper()\n")}
+    assert uncalled(sources, "kernel") == [("engine", "_CACHE"), ("engine", "_orphan"),
+                                           ("kernel", "step")]
+
+
+def test_kernel_functions_and_private_names_have_callers():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert uncalled(sources, "kernel") == []

@@ -1,5 +1,6 @@
-"""The truncated list multiply against naive loops; the sparse Euler, Jacobi
-and division passes against dense q-product tables."""
+"""The truncated list multiply against naive loops; the progression
+products and the sparse Euler, Jacobi and division passes against dense
+q-product tables."""
 
 from fractions import Fraction
 
@@ -9,7 +10,22 @@ from hypothesis import given, settings, strategies as st
 import qbias.engine as engine
 import qbias.kernel as kernel
 from qbias import TruncatedSeries, rational
-from qbias.kernel import div_sparse, euler, jacobi, mul_trunc, qprod
+from qbias.kernel import div_sparse, euler, jacobi, mul_trunc, progression
+
+
+def dense(table, N, D=1, co=None):
+    # prod (1 + u D^(e-1) q^e)^power over a table of (u, exponents, power)
+    # rows, one mul1 or div1 pass per factor
+    if co is None:
+        co = [1] + [0] * N
+    for u, exponents, power in table:
+        for e in exponents:
+            if e <= N:
+                if power > 0:
+                    kernel.mul1(co, e, u * D ** (e - 1), N)
+                else:
+                    kernel.div1(co, e, -u * D ** (e - 1), N)
+    return co
 
 
 def naive(a, b, N):
@@ -105,7 +121,28 @@ def test_mul_trunc_never_packs_fractions():
 @pytest.mark.parametrize("power", [2, -2, 0, 3])
 def test_qprod_rows_take_power_one_only(power):
     with pytest.raises(ValueError):
-        qprod([(1, range(1, 11), power)], 10)
+        progression([1] + [0] * 10, 1, 1, 1, power, 1, 10)
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 200])
+def test_progression_matches_dense_factors(N):
+    # graded seeds with large entries; s and m up to 8, and s > N
+    f = [(-1) ** n * pow(5, n, 10007) for n in range(N + 1)]
+    for D in (1, 2, 3, 6):
+        for power in (1, -1):
+            for s in (1, 2, 5, 8, N + 1):
+                for m in (1, 3, 8):
+                    for u in (-3, -1, 0, 1, 2, 5):
+                        want = dense([(u, range(s, N + 1, m), power)], N, D, list(f))
+                        got = progression(f, u, s, m, power, D, N)
+                        assert got == want, (D, power, s, m, u)
+    # Fraction lists and weights at D = 1 stay Fraction
+    g = [Fraction(n + 1, 1 + n % 4) for n in range(N + 1)]
+    for power in (1, -1):
+        for u in (Fraction(-3, 2), Fraction(2, 3)):
+            got = progression(g, u, 2, 3, power, 1, N)
+            assert got == dense([(u, range(2, N + 1, 3), power)], N, 1, list(g))
+            assert {type(c) for c in got} == {Fraction}
 
 
 # -- sparse Euler and Jacobi series against dense q-product tables ------------
@@ -115,12 +152,12 @@ PAIRS = [(1, 3), (2, 5), (2, 7), (3, 8)]
 
 
 def dense_euler(s, N):
-    return qprod([(-1, range(s, N + 1, s), 1)], N)
+    return dense([(-1, range(s, N + 1, s), 1)], N)
 
 
 def dense_jacobi(a, m, sign, N):
     # (-sign q^a, -sign q^{m-a}, q^m; q^m)_inf
-    return qprod([(sign, range(a, N + 1, m), 1), (sign, range(m - a, N + 1, m), 1),
+    return dense([(sign, range(a, N + 1, m), 1), (sign, range(m - a, N + 1, m), 1),
                   (-1, range(m, N + 1, m), 1)], N)
 
 
@@ -139,7 +176,7 @@ def test_div_sparse_matches_repeated_div1(N):
     # (q;q)_inf, applied to a dense list with large entries
     f = [(-1) ** n * pow(7, n, 1000003) << (n % 50) for n in range(N + 1)]
     for exponents in ((2, 3, 3, 5), (1, 1, 4), range(1, N + 1)):
-        s = qprod([(-1, exponents, 1)], N)
+        s = dense([(-1, exponents, 1)], N)
         want = list(f)
         for e in exponents:
             if e <= N:
@@ -163,7 +200,7 @@ def dense_prefactor(a, m, flavor, N):
         table = ([(-1, evens, 1)] + [(-1, mults2, 1)] * 2 + [(-1, c, 1) for c in classes]
                  + [(-1, parts, -1)] * 2 + [(-1, mults, -1)] * 4
                  + [(1, c, -1) for c in classes])
-    return qprod(table, N)
+    return dense(table, N)
 
 
 @pytest.mark.parametrize("N", ORDERS)
@@ -176,4 +213,4 @@ def test_symmetric_prefactors_and_unit_totals_match_dense_tables(N):
     for (x, y), table in (((1, 0), [(-1, parts, -1)]),
                           ((0, 1), [(1, parts, 1)]),
                           ((1, 1), [(1, parts, 1), (-1, parts, -1)])):
-        assert engine._total_graded(x, y, 1, N) == tuple(qprod(table, N)), (x, y)
+        assert engine._total_graded(x, y, 1, N) == tuple(dense(table, N)), (x, y)
