@@ -59,7 +59,6 @@ from .oracle import (
 from .scalars import (
     DomainMismatchError,
     InvalidParameterError,
-    MarkerPoly,
     QbiasError,
     SingularSeriesError,
     parse_rational,

@@ -280,14 +280,16 @@ _GROWTH = {"01": math.pi / math.sqrt(3.0),
 # 1.8 s at N = 8,192, 7.5 s at 16,384 and 33 s at 32,768 (CPython 3.11, 2-core
 # x86-64 host), and at 2^16 its coefficients outgrow a float.
 _MAX_BOUNDARY_ORDER = 1 << 15
+# tail size a suggested boundary order reaches
+_BOUNDARY_TAIL = 1e-9
 
 
-def suggest_boundary_order(flavor: str, m: int, z: float, tol: float = 1e-9) -> int:
+def suggest_boundary_order(flavor: str, m: int, z: float) -> int:
     """Smallest power-of-two order (at least 64) with coefficient tail
-    exp(C sqrt(n) - z n / m) below tol, up to 2^15."""
+    exp(C sqrt(n) - z n / m) below _BOUNDARY_TAIL, up to 2^15."""
     c = _GROWTH[flavor]
     n = 64
-    while c * math.sqrt(n) - z * n / m + math.log(n + 1.0) > math.log(tol):
+    while c * math.sqrt(n) - z * n / m + math.log(n + 1.0) > math.log(_BOUNDARY_TAIL):
         n *= 2
         if n > _MAX_BOUNDARY_ORDER:
             raise InvalidParameterError(f"no order up to {_MAX_BOUNDARY_ORDER} reaches z={z}")

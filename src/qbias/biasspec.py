@@ -9,49 +9,42 @@ from .scalars import InvalidParameterError, format_rational, rational
 
 @dataclass(frozen=True)
 class BiasSpec:
-    """Classes a != b modulo m, with exact non-negative weights x, y.
-
-    With marker=True the weights are the formal markers X, Y instead of
-    numbers (x, y are ignored); exact polynomial results are produced.
-    """
+    """Integer classes a != b in 1..m modulo m, with exact non-negative
+    rational weights x, y, not both zero."""
 
     a: int
     b: int
     m: int
     x: object = 1
     y: object = 0
-    marker: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 1):
+        if not all(isinstance(v, int) for v in (self.a, self.b, self.m)):
+            raise InvalidParameterError("classes a, b and modulus m must be integers")
+        if self.m < 1:
             raise InvalidParameterError("modulus m must be a positive integer")
         if not (1 <= self.a <= self.m and 1 <= self.b <= self.m):
             raise InvalidParameterError("residue classes must lie in 1..m")
         if self.a == self.b:
             raise InvalidParameterError("residue classes must differ")
-        if not self.marker:
-            x = rational(self.x)
-            y = rational(self.y)
-            if x < 0 or y < 0:
-                raise InvalidParameterError("weights must be non-negative")
-            if x == 0 and y == 0:
-                raise InvalidParameterError("weights must not both vanish")
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
+        x = rational(self.x)
+        y = rational(self.y)
+        if x < 0 or y < 0:
+            raise InvalidParameterError("weights must be non-negative")
+        if x == 0 and y == 0:
+            raise InvalidParameterError("weights must not both vanish")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def swapped(self) -> "BiasSpec":
         """Same weights with the two residue classes exchanged."""
-        return BiasSpec(self.b, self.a, self.m, self.x, self.y, self.marker)
+        return BiasSpec(self.b, self.a, self.m, self.x, self.y)
 
     def label(self) -> str:
-        if self.marker:
-            return f"({self.a},{self.b},{self.m};X,Y)"
         return (f"({self.a},{self.b},{self.m};"
                 f"{format_rational(self.x)},{format_rational(self.y)})")
 
     def to_json_obj(self) -> dict:
-        if self.marker:
-            return {"a": self.a, "b": self.b, "m": self.m, "weights": "marker"}
         return {
             "a": self.a,
             "b": self.b,

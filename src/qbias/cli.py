@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qbias",
         description="Exact residue-class bias computations and verifications.",
-        parents=[common],
     )
     sub = top.add_subparsers(dest="command", required=True)
 

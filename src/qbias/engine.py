@@ -30,7 +30,6 @@ from .scalars import (
     INTEGER,
     RATIONAL,
     InvalidParameterError,
-    format_rational,
     rational,
 )
 from .series import TruncatedSeries, theta_partial
@@ -106,8 +105,6 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     suffix S_{n+1} = sum_{k>n} A_k, gives the sum as T_0, which is then
     multiplied by the product prefactor.
     """
-    if spec.marker:
-        raise InvalidParameterError("generating-function engine needs numeric weights")
     if not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
     a, b, m = spec.a, spec.b, spec.m
@@ -144,8 +141,6 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
     w = t, 1/t or 1 according to the residue class of d; the bias sums the
     positive t-powers.
     """
-    if spec.marker:
-        raise InvalidParameterError("marker-weight specs are oracle-only")
     if not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
     a, b, m, x, y = spec.a, spec.b, spec.m, spec.x, spec.y
@@ -279,44 +274,24 @@ _METHODS = {
 
 @dataclass
 class BiasReport:
-    """Tabulated bias sequence with its swapped-class counterpart."""
+    """Tabulated bias sequence with its swapped-class counterpart; the
+    signs of p_ab - p_ba and the indices where p_ba leads are derived."""
 
     spec: BiasSpec
     method: str
     order: int
     values: list
     swapped_values: list
-    signs: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    signs: list = field(init=False)
+    violations: list = field(init=False)
 
     def __post_init__(self):
-        if not self.signs:
-            diffs = [p - q for p, q in zip(self.values, self.swapped_values)]
-            self.signs = [(d > 0) - (d < 0) for d in diffs]
-            self.violations = [n for n, s in enumerate(self.signs) if s < 0]
+        self.signs = [(p > q) - (p < q) for p, q in zip(self.values, self.swapped_values)]
+        self.violations = [n for n, s in enumerate(self.signs) if s < 0]
 
     @property
     def zero_indices(self):
         return [n for n, s in enumerate(self.signs) if s == 0]
-
-    def to_json_obj(self) -> dict:
-        def fmt(v):
-            return str(v) if isinstance(v, int) else format_rational(v)
-
-        return {
-            "spec": self.spec.to_json_obj(),
-            "method": self.method,
-            "N": self.order,
-            "values": [fmt(v) for v in self.values],
-            "swapped_values": [fmt(v) for v in self.swapped_values],
-            "violations": list(self.violations),
-        }
-
-    def to_csv_rows(self):
-        rows = [("n", "p_ab", "p_ba", "diff_sign")]
-        for n, (p, q, s) in enumerate(zip(self.values, self.swapped_values, self.signs)):
-            rows.append((n, p, q, s))
-        return rows
 
 
 def compare_bias(spec: BiasSpec, N: int, method: str = "gf") -> BiasReport:

@@ -4,9 +4,10 @@ Everything here works straight from the combinatorial definitions, with no
 generating functions anywhere: this module is the ground truth the series
 engines are tested against.  Each pair sum is built from weight-free
 histograms of P(j) and D(j) by (excess, number of parts); these and the
-resulting marker polynomials are memoised per residue classes, so a numeric
-spec only evaluates a cached polynomial at its weights.  Everything is
-still pure enumeration, for correctness at desk scale, not speed.
+resulting terms, counts of pairs by their two part numbers, are memoised
+per residue classes, so a spec only weighs cached terms by its x and y.
+Everything is still pure enumeration, for correctness at desk scale, not
+speed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .scalars import InvalidParameterError, MarkerPoly, rational
+from .scalars import InvalidParameterError, rational
 
 ENUM_CAP = 60      # single-set enumeration cap
 PAIR_CAP = 36      # cap for sums over pairs (lam, mu) with |lam|+|mu| = n
@@ -129,10 +130,10 @@ def _histogram(j: int, distinct: bool, classes):
 
 
 @lru_cache(maxsize=1024)
-def _marker_poly(n: int, classes) -> MarkerPoly:
-    """Sum of X^{l(lam)} Y^{l(mu)} over pairs (lam, mu) in P x D with
+def _pair_terms(n: int, classes):
+    """Items ((l(lam), l(mu)), count) over pairs (lam, mu) in P x D with
     |lam| + |mu| = n and positive joint excess (every pair if ``classes``
-    is None).  Callers must not mutate the cached result.
+    is None): the weight-free form of the pair sum.
     """
     terms: dict = {}
     for j in range(n + 1):
@@ -142,7 +143,15 @@ def _marker_poly(n: int, classes) -> MarkerPoly:
                 if classes is None or dp + dd > 0:
                     key = (lp, ld)
                     terms[key] = terms.get(key, 0) + cp * cd
-    return MarkerPoly(terms)
+    return tuple(terms.items())
+
+
+def _evaluate(terms, x, y):
+    """Exact sum of count * x^i * y^j over the terms; a rational even when empty."""
+    total = rational(0)
+    for (i, j), c in terms:
+        total += c * x**i * y**j
+    return total
 
 
 def oracle_bias(spec: BiasSpec, n: int):
@@ -150,15 +159,11 @@ def oracle_bias(spec: BiasSpec, n: int):
 
     Sums x^{l(lam)} y^{l(mu)} over pairs (lam, mu) in P x D with
     |lam| + |mu| = n and more parts in class a than in class b (classes
-    counted jointly over the pair).  A marker spec returns the exact
-    polynomial sum of X^{l(lam)} Y^{l(mu)} instead.
+    counted jointly over the pair).
     """
     _check_pair_cap(n)
     m = spec.m
-    poly = _marker_poly(n, (spec.a % m, spec.b % m, m))
-    if spec.marker:
-        return MarkerPoly(poly.terms)  # a copy: the cached polynomial stays intact
-    return poly.evaluate(spec.x, spec.y)
+    return _evaluate(_pair_terms(n, (spec.a % m, spec.b % m, m)), spec.x, spec.y)
 
 
 def oracle_total(x, y, n: int):
@@ -171,7 +176,7 @@ def oracle_total(x, y, n: int):
     x, y = rational(x), rational(y)
     if x < 0 or y < 0:
         raise InvalidParameterError("weights must be non-negative")
-    return _marker_poly(n, None).evaluate(x, y)
+    return _evaluate(_pair_terms(n, None), x, y)
 
 
 def count_partitions(n: int) -> int:

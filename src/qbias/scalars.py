@@ -1,13 +1,9 @@
-"""Exact scalar arithmetic: arbitrary-precision integers, rationals, and
-bivariate marker polynomials.
+"""Exact scalar arithmetic: arbitrary-precision integers and rationals.
 
 All series coefficients are one of two kinds ("domains"):
 
   * ``integer``  -- Python ints (arbitrary precision),
   * ``rational`` -- exact rationals, normalised, positive denominator.
-
-:class:`MarkerPoly` -- polynomials in two formal weight markers X, Y -- is
-the oracle's weight-free value type, not a series domain.
 
 gmpy2 is used for rationals when available (the ``qbias[fast]`` extra);
 the pure-Python Fraction fallback is semantically identical, only slower.
@@ -86,46 +82,3 @@ def parse_rational(text: str):
 def format_rational(v) -> str:
     """Canonical "p/q" form (denominator always present, positive)."""
     return f"{v.numerator}/{v.denominator}"
-
-
-class MarkerPoly:
-    """Polynomial in the weight markers X, Y.
-
-    Stored as a map (i, j) -> coefficient of X^i Y^j; zero coefficients
-    are never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for (i, j), c in terms.items():
-                if c:
-                    cleaned[(int(i), int(j))] = c
-        self.terms = cleaned
-
-    def evaluate(self, x, y):
-        """Exact value at markers X=x, Y=y."""
-        total = rational(0)
-        for (i, j), c in self.terms.items():
-            total += c * x**i * y**j
-        return total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MarkerPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "MarkerPoly(0)"
-        bits = []
-        for (i, j), c in sorted(self.terms.items()):
-            mono = f"X^{i}Y^{j}" if i or j else ""
-            bits.append(f"{c}{mono}")
-        return "MarkerPoly(" + " + ".join(bits) + ")"

@@ -14,8 +14,8 @@ from .scalars import (
     DOMAINS,
     DomainMismatchError,
     InvalidParameterError,
-    MarkerPoly,
     SingularSeriesError,
+    is_rational_value,
     rational,
 )
 
@@ -31,8 +31,8 @@ def _one(domain):
 def _coerce(domain, value):
     """Bring a scalar into the domain; rejects lossy coercions."""
     if domain == RATIONAL:
-        if isinstance(value, MarkerPoly):
-            raise DomainMismatchError("marker scalar in rational series")
+        if not is_rational_value(value):
+            raise DomainMismatchError(f"non-rational scalar {value!r} in rational series")
         return rational(value) if isinstance(value, int) else value
     if isinstance(value, int):
         return value
@@ -185,7 +185,7 @@ def pochhammer_product(c, sign, offset, step, order, domain=None):
     if domain is None:
         domain = INTEGER if isinstance(c, int) else RATIONAL
     out = TruncatedSeries.one(domain, order)
-    u = _coerce(domain, c if sign == 1 else -c)
+    u = sign * _coerce(domain, c)
     out.coeffs = progression(out.coeffs, u, offset, step, 1, 1, order)
     return out
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from qbias import (
     BiasSpec,
     InvalidParameterError,
-    MarkerPoly,
     Partition,
     count_distinct,
     count_partitions,
@@ -119,16 +118,6 @@ def test_bias_pair_bound():
         assert both <= oracle_total(1, 1, n)
 
 
-def test_marker_mode_matches_numeric_evaluation():
-    s = BiasSpec(1, 2, 3, marker=True)
-    for n in range(7):
-        poly = oracle_bias(s, n)
-        assert isinstance(poly, MarkerPoly)
-        for (x, y) in [(1, 0), (0, 1), (2, 1), (rational(3, 2), rational(1, 2))]:
-            num = oracle_bias(BiasSpec(1, 2, 3, x, y), n)
-            assert poly.evaluate(rational(x), rational(y)) == num
-
-
 def _direct_bias(a, b, m, x, y, n):
     """The defining pair sum, one pair (lam, mu) at a time."""
     total = 0
@@ -155,23 +144,11 @@ _case = st.tuples(_classes, _weight, _weight, st.integers(min_value=0, max_value
 @example([((3, 1, 3), rational(3, 2), 0, 10), ((1, 3, 3), 0, rational(3, 2), 10),
           ((3, 1, 3), 1, 1, 9)])
 def test_oracle_matches_direct_pair_sum(cases):
-    # several specs per draw, so later calls read histograms and polynomials
-    # memoised by earlier ones (in this draw or an earlier draw)
+    # several specs per draw, so later calls read histograms and pair
+    # terms memoised by earlier ones (in this draw or an earlier draw)
     for (a, b, m), x, y, n in cases:
         want = _direct_bias(a, b, m, rational(x), rational(y), n)
         assert oracle_bias(BiasSpec(a, b, m, x, y), n) == want
-        poly = oracle_bias(BiasSpec(a, b, m, marker=True), n)
-        assert poly.evaluate(rational(x), rational(y)) == want
-
-
-def test_returned_marker_poly_is_a_copy():
-    s = BiasSpec(1, 3, 3, marker=True)
-    first = oracle_bias(s, 9)
-    want = dict(first.terms)
-    first.terms[(0, 0)] = 99
-    first.terms.pop(next(iter(want)))
-    assert oracle_bias(s, 9).terms == want
-    assert oracle_bias(BiasSpec(1, 3, 3, 1, 1), 9) == MarkerPoly(want).evaluate(1, 1)
 
 
 def test_spec_validation():
@@ -183,6 +160,10 @@ def test_spec_validation():
         BiasSpec(1, 2, 3, -1, 0)
     with pytest.raises(InvalidParameterError):
         BiasSpec(1, 2, 3, 0, 0)
+    # non-integer classes, which the engines would otherwise never match
+    for a, b in ((1.5, 2), (1, 2.0)):
+        with pytest.raises(InvalidParameterError):
+            BiasSpec(a, b, 3, 1, 0)
 
 
 @settings(max_examples=25, deadline=None)

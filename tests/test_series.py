@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from qbias import (
     DomainMismatchError,
     InvalidParameterError,
-    MarkerPoly,
     SingularSeriesError,
     TruncatedSeries,
     count_distinct,
@@ -57,6 +56,12 @@ def test_domain_and_order_mismatch_rejected():
 def test_integer_domain_rejects_fractions():
     with pytest.raises(DomainMismatchError):
         TruncatedSeries("integer", 3, [rational(1, 2), 0, 0, 0])
+    # rational series take exact rationals only, never floats or strings
+    with pytest.raises(DomainMismatchError):
+        TruncatedSeries("rational", 2, [0.5, 0, 1])
+    for c, sign in ((0.5, 1), ("1/2", 1), ("1/2", -1)):
+        with pytest.raises(DomainMismatchError):
+            pochhammer_product(c, sign, 1, 1, 5)
 
 
 # -- ring laws -------------------------------------------------------------------
@@ -254,14 +259,3 @@ def test_evaluate_preconditions_and_alarm():
     with pytest.raises(InvalidParameterError):
         evaluate_numeric(s, 1.0)
     assert evaluate_numeric(s, 0.9).tail_alarm  # N far too small at q0 = 0.9
-
-
-# -- marker polynomial basics ------------------------------------------------------------
-
-
-def test_marker_poly_ops():
-    # (X + Y)^2, built from terms with a zero coefficient that is dropped
-    p = MarkerPoly({(2, 0): 1, (1, 1): 2, (0, 2): 1, (3, 1): 0})
-    assert p.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert not MarkerPoly({(1, 0): 0})
-    assert p.evaluate(rational(1), rational(2)) == 9
