@@ -119,11 +119,11 @@ def _ladder_sum(P, Q, D, s, m, c, N):
     """
     acc = [0] * (N + 1)
     term = rung([1] + [0] * N, D, 0, D, c, 0, s, N)  # the k = 0 term, q^c / (1 - q^s)
-    k = 0
+    k, off = 0, c  # term k starts at q^{c(k+1)}
     while any(term):
-        add_shifted(acc, 0, term)
-        term = rung(term, P, Q, D, c, s + k * m, s + (k + 1) * m, N)
-        k += 1
+        add_shifted(acc, off, term)
+        term = rung(term, P, Q, D, c, s + k * m, s + (k + 1) * m, N - off)
+        k, off = k + 1, off + c
     return acc
 
 

@@ -335,9 +335,10 @@ def _run_asymptotics(args):
 
 def _run_oracle(args):
     if args.total:
-        value = oracle_total(parse_rational(args.x), parse_rational(args.y), args.n)
-        obj = {"oracle": "total", "x": args.x, "y": args.y, "n": args.n,
-               "value": _fmt_exact(value)}
+        x, y = parse_rational(args.x), parse_rational(args.y)
+        value = oracle_total(x, y, args.n)
+        obj = {"oracle": "total", "x": format_rational(x), "y": format_rational(y),
+               "n": args.n, "value": _fmt_exact(value)}
     else:
         if args.a is None or args.b is None or args.m is None:
             raise InvalidParameterError("bias oracle needs --a --b --m")

@@ -103,28 +103,38 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     when x = 0, so every later row vanishes too.  Downward, Horner's rule
     T_n = S_{n+1} + q^b (x + y q^{nm}) / (1 - q^{(n+1)m}) T_{n+1}, with the
     suffix S_{n+1} = sum_{k>n} A_k, gives the sum as T_0, which is then
-    multiplied by the product prefactor.
+    multiplied by the product prefactor.  Each list is kept as an (offset,
+    tail) pair from its lowest possible power on: A_k from q^{ak}, S_{n+1}
+    and T_n from q^{a(n+1)}, so a step touches the support only.
     """
     if not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
     a, b, m = spec.a, spec.b, spec.m
     P, Q, D = scaled_weights(spec.x, spec.y)
 
-    rows = [[1] + [0] * N]
-    while any(rows[-1]):
+    rows = [(0, [1] + [0] * N)]  # (offset, tail): A_k from q^{ak} on
+    while True:
+        off, tail = rows[-1]
         k = len(rows)
-        rows.append(rung(rows[-1], P, Q, D, a, (k - 1) * m, k * m, N))
-    rows.pop()  # the first row that vanishes
+        tail = rung(tail, P, Q, D, a, (k - 1) * m, k * m, N - off)
+        if not any(tail):  # the first row that vanishes
+            break
+        rows.append((off + a, tail))
     graded = [0] * (N + 1)
     if len(rows) > 1:
-        suffix = [0] * (N + 1)
-        acc = [0] * (N + 1)
+        # the suffix and T_n both start at the offset a(n+1) of row n+1;
+        # row n+1 leaves rows to become the suffix, so no old suffix stays
+        off, suffix = rows.pop()
+        acc = suffix
         for n in range(len(rows) - 2, -1, -1):
-            add_shifted(suffix, 0, rows[n + 1])
-            acc = rung(acc, P, Q, D, b, n * m, (n + 1) * m, N)
-            add_shifted(acc, 0, suffix)
+            step = rung(acc, P, Q, D, b, n * m, (n + 1) * m, N - off)
+            off, tail = rows.pop()  # row n + 1
+            add_shifted(tail, a, suffix)
+            suffix = tail
+            acc = list(suffix)
+            add_shifted(acc, a + b, step)
         prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
-        graded = mul_trunc(prefactor, acc, N)
+        graded[off:] = mul_trunc(prefactor, acc, N - off)
     return TruncatedSeries.from_coeffs(*ungrade(graded, D))
 
 

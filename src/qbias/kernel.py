@@ -15,7 +15,8 @@ Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
 weight u/D at q^e then acts with the integer u * D^(e-1); :func:`rung`
 and :func:`progression` apply that convention, and :func:`ungrade` turns
-graded lists back into exact values.
+graded lists back into exact values.  A factor acts the same wherever a
+list starts, so a list that holds a series from q^o on takes N - o as N.
 """
 
 from __future__ import annotations
@@ -58,11 +59,13 @@ def progression(co, u, s, m, power, D, N):
     out = list(co)
     for k in range(terms, 0, -1):  # T_{k-1} = co + (term k / term k-1) T_k
         n = N - s * (k - 1) - h * (k - 1) * (k - 2) // 2  # T_{k-1} is used mod q^{n+1}
-        out = rung(out, power * u, 0, D, s + h * (k - 1), 0, m * k, n)
+        c = s + h * (k - 1)
+        step = rung(out, power * u, 0, D, c, 0, m * k, n)  # from q^c on
         if power < 0:
             e = s + m * (k - 1)
-            div1(out, e, -u * D ** (e - 1), n)
-        add_shifted(out, 0, co)
+            div1(step, e, -u * D ** (e - 1), n - c)
+        out = list(co[:n + 1])  # co may be a cached tuple
+        add_shifted(out, c, step)
     return out
 
 
@@ -119,21 +122,29 @@ def quotient(num, den, N):
 
 
 def rung(co, P, Q, D, c, e, f, N):
-    """One weight-ladder step on a graded list, as a new list:
+    """One weight-ladder step on a graded list, as a new list from q^c on:
     co * q^c (x + y q^e) / (1 - q^f) with x = P/D, y = Q/D and c >= 1.
+    ``out[j]`` is the coefficient at q^(c+j) for j <= N - c, so the list is
+    empty when c > N; a co that starts at q^o takes N - o as N.
 
     The weights grade as in the module docstring: x q^c acts with
     P * D^(c-1), y q^(c+e) with Q * D^(c+e-1), and 1/(1 - q^f) as
     1/(1 - D^f q^f).  Weights whose exponent passes N are never formed:
     D^f has f * log2(D) bits, so a modulus near 10^8 would otherwise stall.
     """
-    out = [0] * (N + 1)
-    if P and c <= N:
-        add_shifted(out, c, co, P * D ** (c - 1))
-    if Q and c + e <= N:
-        add_shifted(out, c + e, co, Q * D ** (c + e - 1))
-    if f <= N:
-        div1(out, f, D**f, N)
+    n = N - c
+    if n < 0:
+        return []
+    if P:
+        w = P * D ** (c - 1)
+        out = [w * g for g in co[:n + 1]]
+        out += [0] * (n + 1 - len(out))  # co may end before q^n
+    else:
+        out = [0] * (n + 1)
+    if Q and e <= n:
+        add_shifted(out, e, co, Q * D ** (c + e - 1))
+    if f <= n:
+        div1(out, f, D**f, n)
     return out
 
 

@@ -155,6 +155,17 @@ def test_rational_cli_inputs():
     assert res.returncode == 2  # floats rejected for exact computations
 
 
+def test_total_oracle_writes_canonical_weights():
+    # equal weights written differently give the same report bytes, in the
+    # bias oracle's "p/q" form
+    halves = [run_cli(["oracle", "--total", "--x", x, "--y", "1", "--n", "3"])
+              for x in ("2/4", "1/2")]
+    assert [r.returncode for r in halves] == [0, 0]
+    assert halves[0].stdout == halves[1].stdout
+    obj = json.loads(halves[0].stdout)
+    assert (obj["x"], obj["y"], obj["value"]) == ("1/2", "1/1", "33/8")
+
+
 def test_determinism_byte_identical(tmp_path):
     args = ["verify", "identities", "--N", "60"]
     first = run_cli(args + ["--out", str(tmp_path / "a.json")])

@@ -23,6 +23,8 @@ from qbias import (
 )
 import qbias.kernel
 import qbias.oracle
+from qbias.engine import _prefactor_graded
+from qbias.kernel import add_shifted, div1, mul_trunc, scaled_weights, ungrade
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
 
@@ -109,6 +111,58 @@ def test_gf_matches_naive_reference():
         fast = bias_series_gf(spec, 30)
         slow = naive_double_sum(spec, 30)
         assert [rational(c) for c in fast.coeffs] == slow.coeffs
+
+
+def dense_rung(co, P, Q, D, c, e, f, N):
+    # co * q^c (x + y q^e) / (1 - q^f) with x = P/D, y = Q/D as a full
+    # D^n-graded list from q^0, zeros below q^c included
+    out = [0] * (N + 1)
+    if P and c <= N:
+        add_shifted(out, c, co, P * D ** (c - 1))
+    if Q and c + e <= N:
+        add_shifted(out, c + e, co, Q * D ** (c + e - 1))
+    if f <= N:
+        div1(out, f, D**f, N)
+    return out
+
+
+def dense_double_sum(spec, N):
+    """The gf double sum with every row, the suffix and the Horner
+    accumulator kept as full N+1 lists."""
+    a, b, m = spec.a, spec.b, spec.m
+    P, Q, D = scaled_weights(spec.x, spec.y)
+    rows = [[1] + [0] * N]
+    while any(rows[-1]):
+        k = len(rows)
+        rows.append(dense_rung(rows[-1], P, Q, D, a, (k - 1) * m, k * m, N))
+    rows.pop()
+    graded = [0] * (N + 1)
+    if len(rows) > 1:
+        suffix = [0] * (N + 1)
+        acc = [0] * (N + 1)
+        for n in range(len(rows) - 2, -1, -1):
+            add_shifted(suffix, 0, rows[n + 1])
+            acc = dense_rung(acc, P, Q, D, b, n * m, (n + 1) * m, N)
+            add_shifted(acc, 0, suffix)
+        prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
+        graded = mul_trunc(prefactor, acc, N)
+    return TruncatedSeries.from_coeffs(*ungrade(graded, D))
+
+
+@pytest.mark.parametrize("N", [1, 2, 13, 60])
+def test_gf_matches_dense_double_sum(N):
+    # every a != b with m <= 6, plus classes and moduli beyond N; x = 0,
+    # y = 0 and denominators 2 and 3
+    specs = [(a, b, m) for m in range(2, 7) for a in range(1, m + 1)
+             for b in range(1, m + 1) if a != b]
+    specs += [(N + 1, 1, N + 2), (1, N + 2, N + 3), (2, 1, N + 4)]
+    weights = [(1, 0), (0, 1), (2, 1), (0, rational(3, 2)), (rational(5, 2), 0),
+               (rational(1, 3), rational(2, 3))]
+    for abm in specs:
+        for xy in weights:
+            spec = BiasSpec(*abm, *xy)
+            got, want = bias_series_gf(spec, N), dense_double_sum(spec, N)
+            assert (got.domain, got.coeffs) == (want.domain, want.coeffs), spec
 
 
 def test_bias_starts_at_q_a():

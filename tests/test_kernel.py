@@ -1,6 +1,6 @@
-"""The truncated list multiply against naive loops; the progression
-products and the sparse Euler, Jacobi and division passes against dense
-q-product tables."""
+"""The truncated list multiply against naive loops; the ladder step's
+offset convention; the progression products and the sparse Euler, Jacobi
+and division passes against dense q-product tables."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import qbias.engine as engine
 import qbias.kernel as kernel
 from qbias import TruncatedSeries, rational
-from qbias.kernel import div_sparse, euler, jacobi, mul_trunc, progression
+from qbias.kernel import div_sparse, euler, jacobi, mul_trunc, progression, rung
 
 
 def dense(table, N, D=1, co=None):
@@ -116,6 +116,53 @@ def test_mul_trunc_never_packs_fractions():
     assert mul_trunc(b, a, N) == naive(a, b, N)
     s = TruncatedSeries("rational", N, a) * TruncatedSeries("rational", N, b)
     assert s.coeffs == [rational(v) for v in naive(a, b, N)]
+
+
+# -- the ladder step returns its result from q^c on ---------------------------
+
+
+def dense_rung(co, P, Q, D, c, e, f, N):
+    # co * q^c (P/D + (Q/D) q^e) / (1 - q^f) on a full D^n-graded list
+    out = [0] * (N + 1)
+    for i, g in enumerate(co):
+        if i + c <= N:
+            out[i + c] += P * D ** (c - 1) * g
+        if i + c + e <= N:
+            out[i + c + e] += Q * D ** (c + e - 1) * g
+    kernel.div1(out, f, D**f, N)
+    return out
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_rung_steps_a_tail_like_the_full_list(D):
+    # a list that starts at q^o, stepped with N - o, is the full-list step
+    # from index o + c on
+    N = 30
+    for o in (0, 1, 4, 11):
+        tail = [(-1) ** j * (3 * j + 1) for j in range(N - o + 1)]
+        full = [0] * o + tail
+        for P, Q in ((3, 5), (0, 5), (3, 0), (-2, 7)):
+            for c, e, f in ((1, 0, 1), (2, 3, 4), (5, 0, 2), (3, 9, 31)):
+                want = dense_rung(full, P, Q, D, c, e, f, N)
+                got = rung(tail, P, Q, D, c, e, f, N - o)
+                assert len(got) == max(0, N - o - c + 1)
+                assert got == rung(full, P, Q, D, c, e, f, N)[o:] == want[o + c:]
+                assert want[:o + c] == [0] * min(o + c, N + 1)
+
+
+def test_rung_edges():
+    co = [2, -1, 4, 0, 3]
+    # empty once c passes N, whatever the weights
+    for c in (5, 6, 100):
+        assert rung(co, 3, 5, 2, c, 0, 1, 4) == []
+    assert rung(co, 3, 5, 2, 4, 0, 1, 4) == [2 * (3 * 2**3 + 5 * 2**3)]
+    # P = 0: the first e entries stay zero, the y term starts at index e
+    for e in (0, 1, 3):
+        got = rung(co, 0, 5, 3, 1, e, 7, 9)
+        assert got[:e] == [0] * e and got[e] == 5 * 3**e * co[0]
+        assert got == dense_rung(co, 0, 5, 3, 1, e, 7, 9)[1:]
+    # a short input is read as zero past its end
+    assert rung([1], 1, 0, 1, 1, 0, 2, 6) == [1, 0, 1, 0, 1, 0]
 
 
 @pytest.mark.parametrize("power", [2, -2, 0, 3])

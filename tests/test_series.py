@@ -186,7 +186,8 @@ def test_qprod_matches_series_products(D):
             ref = ref * (f if power > 0 else f.invert())
     assert [rational(c, D**n) for n, c in enumerate(graded)] == ref.coeffs
     # one weight-ladder rung q^c (x + y q^e) / (1 - q^f) with x = P/D,
-    # y = Q/D keeps the grading: index n still carries D^n, in integers
+    # y = Q/D keeps the grading: index n still carries D^n, in integers;
+    # the step returns its coefficients from q^c on
     for c in (1, 2):
         for P, Q in ((3, 5), (0, 5), (3, 0)):
             for e, f in ((2, 3), (0, 4)):
@@ -197,7 +198,8 @@ def test_qprod_matches_series_products(D):
                 den.coeffs[0] = rational(1)
                 want = ref * num * den.invert()
                 assert all(type(v) is int for v in step)
-                assert [rational(v, D**n) for n, v in enumerate(step)] == want.coeffs
+                assert [rational(v, D**n) for n, v in enumerate(step, c)] == want.coeffs[c:]
+                assert not any(want.coeffs[:c])
 
 
 def test_theta_partial_values():
