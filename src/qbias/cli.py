@@ -2,7 +2,8 @@
 reproducible, scriptable run with machine-readable output.
 
 Exit codes: 0 all checks pass, 1 verified violation, 2 invalid
-configuration (a verification that would compare nothing included),
+configuration (a flag the command does not read, given in full or
+abbreviated, and a verification that would compare nothing included),
 3 inconclusive (horizon or tail-bound guard tripped), 4 unexpected
 internal error (any exception that is not a ``QbiasError``; its
 traceback precedes the JSON error line).  Every exit code >= 2 also
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 import traceback
 
@@ -79,79 +81,85 @@ def _float_list(text):
     return vals
 
 
+_NONNEG_KINDS = ("f_series", "maino", "chern_corollary", "andrews")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common, classes, weights, order, grid, symmetric = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
     common.add_argument("--format", choices=("json", "csv", "human"), default="json")
     common.add_argument("--out", help="write the report to this path instead of stdout")
-    common.add_argument("--jobs", type=_positive_int, default=None,
-                        help="worker processes for sweeps (default: all cores)")
+    for flag in ("--a", "--b", "--m"):
+        classes.add_argument(flag, type=int, required=True)
+    weights.add_argument("--x", default="1")
+    weights.add_argument("--y", default="0")
+    order.add_argument("--N", type=int, default=200)
+    grid.add_argument("--m-max", type=int, default=6)
+    grid.add_argument("--x-grid", default="1,3/2,2,3")
+    grid.add_argument("--jobs", type=_positive_int, default=None,
+                      help="worker processes for the sweep (default: all cores)")
+    symmetric.add_argument("--a", type=int, required=True)
+    symmetric.add_argument("--m", type=int, required=True)
+    symmetric.add_argument("--flavor", choices=tuple(FLAVOR_XY))
+
     top = argparse.ArgumentParser(
         prog="qbias",
         description="Exact residue-class bias computations and verifications.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    groups = {"": top.add_subparsers(dest="command", required=True)}
+    for name, text in (("verify", "theorem sweeps, non-negativity suites, identities"),
+                       ("asymptotics", "constants, predictions, convergence, boundary")):
+        groups[name] = groups[""].add_parser(name, help=text).add_subparsers(required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def leaf(command, text, *parents):
+        group, _, name = command.rpartition(" ")
+        p = groups[group].add_parser(name, parents=[common, *parents], help=text,
+                                     allow_abbrev=False)
+        p.set_defaults(command=command)
+        return p
 
-    p = add_parser("compute-bias", help="bias sequence by a chosen method")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--x", default="1")
-    p.add_argument("--y", default="0")
+    p = leaf("compute-bias", "bias sequence by a chosen method", classes, weights)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--method", choices=("gf", "dp", "symmetric"), default="gf")
 
-    p = add_parser("verify", help="theorem sweeps, non-negativity suites, identities")
-    p.add_argument("check", choices=("thm1", "thm2", "lemma2-1", "nonneg", "identities"))
-    p.add_argument("--m-max", type=int, default=6)
-    p.add_argument("--N", type=int, default=200)
-    p.add_argument("--x-grid", default="1,3/2,2,3")
+    p = leaf("verify thm1", "weighted dominance sweep", grid, order)
     p.add_argument("--y-grid", default="0,1/2,1,2")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--x", default="1")
-    p.add_argument("--y", default="0")
-    p.add_argument("--kind", choices=("f_series", "maino", "chern_corollary", "andrews"))
-    p.add_argument("--draws", type=int, default=50)
+    leaf("verify thm2", "witnessed y=1 dominance sweep", grid, order)
+    leaf("verify lemma2-1", "monotonicity of one bias sequence", classes, weights, order)
+    p = leaf("verify nonneg", "seeded non-negativity draws", order)
+    p.add_argument("--kind", choices=_NONNEG_KINDS)
+    p.add_argument("--draws", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
+    p = leaf("verify identities", "triple-product and transformation identities", order)
     p.add_argument("--names", default="jacobi,fine,heine,theta_reciprocal,kronecker")
 
-    p = add_parser("scan-conjecture", help="finite-horizon threshold scan")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = leaf("scan-conjecture", "finite-horizon threshold scan", classes)
     p.add_argument("--N", type=int, required=True)
     guard = p.add_mutually_exclusive_group()
     guard.add_argument("--horizon-guard", dest="horizon_guard", action="store_true",
                        default=True)
     guard.add_argument("--no-horizon-guard", dest="horizon_guard", action="store_false")
 
-    p = add_parser("asymptotics", help="constants, predictions, convergence, boundary")
-    p.add_argument("task", choices=("constants", "predict", "convergence", "boundary"))
-    p.add_argument("--a", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--flavor", choices=("01", "10", "11"), default=None)
-    p.add_argument("--profile", choices=tuple(PROFILES))
+    leaf("asymptotics constants", "limiting bias constants", symmetric)
+    p = leaf("asymptotics predict", "Tauberian growth prediction")
+    p.add_argument("--profile", choices=tuple(PROFILES), required=True)
     p.add_argument("--n-values", type=_int_list, default="1000")
+    p = leaf("asymptotics convergence", "exact ratios against the constant", symmetric)
     p.add_argument("--samples", type=_int_list, default="500,1000,2000")
+    p.add_argument("--N", type=int)
+    p = leaf("asymptotics boundary", "real-point values near the boundary", symmetric)
     p.add_argument("--z", type=_float_list, default="0.5,0.4,0.3")
     p.add_argument("--h", type=int, default=0)
-    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--N", type=int)
 
-    p = add_parser("oracle", help="brute-force values from the definitions")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--x", default="1")
-    p.add_argument("--y", default="0")
+    p = leaf("oracle", "brute-force values from the definitions", weights)
+    for flag in ("--a", "--b", "--m"):
+        p.add_argument(flag, type=int)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--total", action="store_true",
                    help="total weighted count instead of the bias count")
 
-    p = add_parser("cross-check", help="method-agreement matrix gf/dp/oracle")
+    p = leaf("cross-check", "method-agreement matrix gf/dp/oracle")
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--n-max", type=int, default=12)
 
@@ -187,84 +195,78 @@ def _run_compute_bias(args):
     return obj, rows, EXIT_PASS
 
 
-def _run_verify(args):
-    if args.check in ("thm1", "thm2"):
-        xs = _rational_list(args.x_grid)
-        if args.check == "thm1":
-            rep = dominance_sweep(args.m_max, xs, _rational_list(args.y_grid), args.N,
-                                  jobs=args.jobs)
-        else:
-            rep = distinct_dominance_sweep(args.m_max, xs, args.N, jobs=args.jobs)
-        obj = rep.to_json_obj()
-        rows = [("spec", "violations")] + [(s, " ".join(map(str, v)))
-                                           for s, v in rep.violations]
-        return obj, rows, EXIT_PASS if rep.passed else EXIT_VIOLATION
-    if args.check == "lemma2-1":
-        if args.a is None or args.b is None or args.m is None:
-            raise InvalidParameterError("lemma2-1 needs --a --b --m")
-        spec = BiasSpec(args.a, args.b, args.m,
-                        parse_rational(args.x), parse_rational(args.y))
-        series = bias_series_gf(spec, args.N)
-        ok, bad = monotonicity_check(series.coeffs, spec.m)
-        obj = {
-            "check": "lemma2-1",
-            "spec": spec.to_json_obj(),
-            "N": args.N,
-            "passed": ok,
-            "first_failure": bad,
-        }
-        rows = [("n", "value")] + [(n, _fmt_exact(v)) for n, v in enumerate(series.coeffs)]
-        return obj, rows, EXIT_PASS if ok else EXIT_VIOLATION
-    if args.check == "nonneg":
-        import random as _random
+def _sweep_result(rep):
+    rows = [("spec", "violations")] + [(s, " ".join(map(str, v)))
+                                       for s, v in rep.violations]
+    return rep.to_json_obj(), rows, EXIT_PASS if rep.passed else EXIT_VIOLATION
 
-        if args.draws < 1:
-            raise InvalidParameterError("nonneg needs --draws >= 1")
-        kinds = [args.kind] if args.kind else [
-            "f_series", "maino", "chern_corollary", "andrews"]
-        rng = _random.Random(args.seed)
-        results = []
-        all_ok = True
-        for kind in kinds:
-            for _ in range(args.draws):
-                params = random_nonneg_params(kind, rng)
-                rep = nonneg_suite(kind, params, args.N)
-                all_ok = all_ok and rep.passed
-                results.append(rep.to_json_obj())
-        obj = {"check": "nonneg", "N": args.N, "draws": args.draws,
-               "seed": args.seed, "passed": all_ok, "results": results}
-        rows = [("kind", "passed", "first_negative")] + [
-            (r["kind"], r["passed"], r["first_negative"]) for r in results]
-        return obj, rows, EXIT_PASS if all_ok else EXIT_VIOLATION
-    # identities
+
+def _run_thm1(args):
+    return _sweep_result(dominance_sweep(
+        args.m_max, _rational_list(args.x_grid), _rational_list(args.y_grid), args.N,
+        jobs=args.jobs))
+
+
+def _run_thm2(args):
+    return _sweep_result(distinct_dominance_sweep(
+        args.m_max, _rational_list(args.x_grid), args.N, jobs=args.jobs))
+
+
+def _run_lemma2_1(args):
+    spec = BiasSpec(args.a, args.b, args.m,
+                    parse_rational(args.x), parse_rational(args.y))
+    series = bias_series_gf(spec, args.N)
+    ok, bad = monotonicity_check(series.coeffs, spec.m)
+    obj = {
+        "check": "lemma2-1",
+        "spec": spec.to_json_obj(),
+        "N": args.N,
+        "passed": ok,
+        "first_failure": bad,
+    }
+    rows = [("n", "value")] + [(n, _fmt_exact(v)) for n, v in enumerate(series.coeffs)]
+    return obj, rows, EXIT_PASS if ok else EXIT_VIOLATION
+
+
+def _run_nonneg(args):
+    kinds = [args.kind] if args.kind else _NONNEG_KINDS
+    rng = random.Random(args.seed)
+    results = [nonneg_suite(kind, random_nonneg_params(kind, rng), args.N).to_json_obj()
+               for kind in kinds for _ in range(args.draws)]
+    all_ok = all(r["passed"] for r in results)
+    obj = {"check": "nonneg", "N": args.N, "draws": args.draws,
+           "seed": args.seed, "passed": all_ok, "results": results}
+    rows = [("kind", "passed", "first_negative")] + [
+        (r["kind"], r["passed"], r["first_negative"]) for r in results]
+    return obj, rows, EXIT_PASS if all_ok else EXIT_VIOLATION
+
+
+# the monomial substitutions each formal identity is checked at; every
+# other name is checked numerically at _IDENTITY_POINTS, with no order
+_IDENTITY_SUBS = {
+    "jacobi": [{"c": c, "s": s} for (c, s) in ((1, 1), (1, 2), (-1, 2), (2, 3), (-3, 1))],
+    "fine": [
+        {"alpha": (1, 2), "gamma": (1, 3), "z": (1, 1)},
+        {"alpha": (2, 1), "gamma": (1, 2), "z": (1, 1)},
+        {"alpha": (1, 1), "gamma": (parse_rational("1/2"), 2), "z": (1, 2)},
+    ],
+    "heine": [
+        {"alpha": (1, 1), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
+        {"alpha": (1, 2), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
+        {"alpha": (2, 1), "beta": (1, 1), "gamma": (1, 3), "z": (1, 2)},
+    ],
+}
+_IDENTITY_POINTS = [{"points": [(0.2, 0.5), (0.15, 0.4), (0.1, 0.3)]}]
+
+
+def _run_identities(args):
     names = [s.strip() for s in args.names.split(",") if s.strip()]
     if not names:
         raise InvalidParameterError("identities needs at least one name in --names")
-    results = []
-    all_ok = True
-    for name in names:
-        order = args.N
-        if name == "jacobi":
-            subs = [{"c": c, "s": s} for (c, s) in ((1, 1), (1, 2), (-1, 2), (2, 3), (-3, 1))]
-        elif name == "fine":
-            subs = [
-                {"alpha": (1, 2), "gamma": (1, 3), "z": (1, 1)},
-                {"alpha": (2, 1), "gamma": (1, 2), "z": (1, 1)},
-                {"alpha": (1, 1), "gamma": (parse_rational("1/2"), 2), "z": (1, 2)},
-            ]
-        elif name == "heine":
-            subs = [
-                {"alpha": (1, 1), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
-                {"alpha": (1, 2), "beta": (1, 1), "gamma": (1, 2), "z": (1, 1)},
-                {"alpha": (2, 1), "beta": (1, 1), "gamma": (1, 3), "z": (1, 2)},
-            ]
-        else:
-            subs = [{"points": [(0.2, 0.5), (0.15, 0.4), (0.1, 0.3)]}]
-            order = None
-        for sub_params in subs:
-            rep = verify_identity(name, sub_params, order)
-            all_ok = all_ok and rep.passed
-            results.append(rep.to_json_obj())
+    reports = [verify_identity(name, params, args.N if name in _IDENTITY_SUBS else None)
+               for name in names for params in _IDENTITY_SUBS.get(name, _IDENTITY_POINTS)]
+    results = [rep.to_json_obj() for rep in reports]
+    all_ok = all(rep.passed for rep in reports)
     obj = {"check": "identities", "passed": all_ok, "results": results}
     rows = [("identity", "mode", "passed", "max_discrepancy")] + [
         (r["identity"], r["mode"], r["passed"], r["max_discrepancy"]) for r in results]
@@ -290,60 +292,49 @@ def _run_scan(args):
     return obj, rows, code
 
 
-def _run_asymptotics(args):
-    if args.task == "constants":
-        if args.a is None or args.m is None:
-            raise InvalidParameterError("constants needs --a --m")
-        flavors = (args.flavor,) if args.flavor else ("01", "10", "11")
-        consts = [bias_constant(args.a, args.m, f) for f in flavors]
-        obj = {"task": "constants",
-               "values": [{"a": c.a, "m": c.m, "flavor": c.flavor, "value": c.value}
-                          for c in consts]}
-        rows = [("a", "m", "flavor", "value")] + [
-            (c.a, c.m, c.flavor, c.value) for c in consts]
-        return obj, rows, EXIT_PASS
-    if args.task == "predict":
-        if not args.profile:
-            raise InvalidParameterError("predict needs --profile")
-        profile = PROFILES[args.profile]
-        ns = args.n_values
-        vals = [(n, tauberian_predict_log(profile, n)) for n in ns]
-        obj = {"task": "predict", "profile": args.profile,
-               "rows": [{"n": n, "log_main_term": v} for n, v in vals]}
-        rows = [("n", "log_main_term")] + vals
-        return obj, rows, EXIT_PASS
-    if args.task == "convergence":
-        if args.a is None or args.m is None:
-            raise InvalidParameterError("convergence needs --a --m")
-        rep = convergence_report(args.a, args.m, args.flavor or "01",
-                                 args.samples, args.N)
-        obj = {"task": "convergence"}
-        obj.update(rep.to_json_obj())
-        rows = rep.to_csv_rows()
-        code = EXIT_PASS if rep.trend_ok in (True, None) else EXIT_VIOLATION
-        return obj, rows, code
-    # boundary
-    if args.a is None or args.m is None:
-        raise InvalidParameterError("boundary needs --a --m")
-    rep = boundary_check(args.a, args.m, args.flavor or "01", args.z,
-                         args.h, args.N)
-    obj = {"task": "boundary"}
-    obj.update(rep.to_json_obj())
-    rows = rep.to_csv_rows()
+def _run_constants(args):
+    flavors = [args.flavor] if args.flavor else FLAVOR_XY
+    consts = [bias_constant(args.a, args.m, f) for f in flavors]
+    obj = {"task": "constants",
+           "values": [{"a": c.a, "m": c.m, "flavor": c.flavor, "value": c.value}
+                      for c in consts]}
+    rows = [("a", "m", "flavor", "value")] + [
+        (c.a, c.m, c.flavor, c.value) for c in consts]
     return obj, rows, EXIT_PASS
 
 
+def _run_predict(args):
+    profile = PROFILES[args.profile]
+    vals = [(n, tauberian_predict_log(profile, n)) for n in args.n_values]
+    obj = {"task": "predict", "profile": args.profile,
+           "rows": [{"n": n, "log_main_term": v} for n, v in vals]}
+    rows = [("n", "log_main_term")] + vals
+    return obj, rows, EXIT_PASS
+
+
+def _run_convergence(args):
+    rep = convergence_report(args.a, args.m, args.flavor or "01", args.samples, args.N)
+    code = EXIT_PASS if rep.trend_ok in (True, None) else EXIT_VIOLATION
+    return {"task": "convergence", **rep.to_json_obj()}, rep.to_csv_rows(), code
+
+
+def _run_boundary(args):
+    rep = boundary_check(args.a, args.m, args.flavor or "01", args.z, args.h, args.N)
+    return {"task": "boundary", **rep.to_json_obj()}, rep.to_csv_rows(), EXIT_PASS
+
+
 def _run_oracle(args):
+    classes = (args.a, args.b, args.m)
+    # one leaf serves both oracles, so a flag the chosen one ignores is refused here
+    if classes.count(None) != (3 if args.total else 0):
+        raise InvalidParameterError("the bias oracle needs --a --b --m; --total takes none")
     if args.total:
         x, y = parse_rational(args.x), parse_rational(args.y)
         value = oracle_total(x, y, args.n)
         obj = {"oracle": "total", "x": format_rational(x), "y": format_rational(y),
                "n": args.n, "value": _fmt_exact(value)}
     else:
-        if args.a is None or args.b is None or args.m is None:
-            raise InvalidParameterError("bias oracle needs --a --b --m")
-        spec = BiasSpec(args.a, args.b, args.m,
-                        parse_rational(args.x), parse_rational(args.y))
+        spec = BiasSpec(*classes, parse_rational(args.x), parse_rational(args.y))
         value = oracle_bias(spec, args.n)
         obj = {"oracle": "bias", "spec": spec.to_json_obj(), "n": args.n,
                "value": _fmt_exact(value)}
@@ -360,11 +351,19 @@ def _run_cross_check(args):
     return obj, rows, EXIT_PASS if all_ok else EXIT_VIOLATION
 
 
+# one runner per leaf command; main looks the runner up here at call time
 _RUNNERS = {
     "compute-bias": _run_compute_bias,
-    "verify": _run_verify,
+    "verify thm1": _run_thm1,
+    "verify thm2": _run_thm2,
+    "verify lemma2-1": _run_lemma2_1,
+    "verify nonneg": _run_nonneg,
+    "verify identities": _run_identities,
     "scan-conjecture": _run_scan,
-    "asymptotics": _run_asymptotics,
+    "asymptotics constants": _run_constants,
+    "asymptotics predict": _run_predict,
+    "asymptotics convergence": _run_convergence,
+    "asymptotics boundary": _run_boundary,
     "oracle": _run_oracle,
     "cross-check": _run_cross_check,
 }

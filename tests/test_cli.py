@@ -1,10 +1,14 @@
 """CLI exit-code contract, output formats, determinism."""
 
+import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,7 +68,17 @@ def test_invalid_config_exit_2_and_json_error():
                  # common flags follow the subcommand, never precede it
                  ["--format", "csv", "compute-bias", "--a", "1", "--b", "2", "--m", "2",
                   "--N", "5"],
-                 ["--jobs", "3", "verify", "thm1", "--m-max", "2", "--N", "10"]):
+                 ["--jobs", "3", "verify", "thm1", "--m-max", "2", "--N", "10"],
+                 # flags the command does not read, in full or abbreviated
+                 ["verify", "thm2", "--m-max", "4", "--N", "20", "--x-grid", "1",
+                  "--y-grid", "0"],
+                 ["verify", "identities", "--N", "20", "--kind", "maino"],
+                 ["asymptotics", "constants", "--a", "1", "--m", "3", "--N", "10"],
+                 ["compute-bias", "--a", "1", "--b", "2", "--m", "2", "--N", "5",
+                  "--jobs", "2"],
+                 ["verify", "thm1", "--m", "3", "--N", "10"],
+                 ["oracle", "--total", "--x", "1", "--y", "1", "--n", "3",
+                  "--a", "1", "--b", "1", "--m", "9"]):
         res = run_cli(argv)
         assert res.returncode == 2, argv
         assert "error" in json.loads(res.stderr.splitlines()[-1])
@@ -174,6 +188,15 @@ def test_determinism_byte_identical(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+def test_verify_identities_runs_every_substitution():
+    res = run_cli(["verify", "identities", "--N", "20"])
+    assert res.returncode == 0
+    results = json.loads(res.stdout)["results"]
+    assert [(r["identity"], r["N"]) for r in results] == (
+        [("jacobi", 20)] * 5 + [("fine", 20)] * 3 + [("heine", 20)] * 3
+        + [("theta_reciprocal", None), ("kronecker", None)])
+
+
 def test_main_callable_in_process(capsys):
     code = main(["asymptotics", "constants", "--a", "1", "--m", "3"])
     assert code == 0
@@ -193,6 +216,40 @@ def test_unexpected_exception_exit_4_and_json_error(monkeypatch, capsys):
     assert err == {"error": "defect", "type": "ZeroDivisionError"}
 
 
+def _leaves(parser, prefix=()):
+    """(command, parser) for every leaf command under ``parser``."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield " ".join(prefix), parser
+    for group in groups:
+        for name, sub in group.choices.items():
+            yield from _leaves(sub, prefix + (name,))
+
+
+def _args_read(function):
+    """Every ``args.<name>`` that a runner's source reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "args"}
+
+
+def test_every_leaf_declares_exactly_the_flags_its_runner_reads():
+    leaves = dict(_leaves(qbias.cli.build_parser()))
+    assert sorted(leaves) == sorted(qbias.cli._RUNNERS)
+    declared = {command: {a.dest for a in parser._actions if a.option_strings}
+                - {"help", "format", "out"} for command, parser in leaves.items()}
+    served = {}
+    for command, runner in qbias.cli._RUNNERS.items():
+        served.setdefault(runner, []).append(command)
+    for runner, commands in served.items():
+        read = _args_read(runner)
+        for command in commands:
+            assert declared[command] <= read, (command, declared[command] - read)
+        assert read <= set().union(*(declared[c] for c in commands)), (
+            runner.__name__, read - set().union(*(declared[c] for c in commands)))
+
+
 # random small argv: every order capped at 60 (oracle n at 12) and sweeps
 # run in-process, so one draw stays cheap
 _SMALL = st.integers(1, 7).map(str)
@@ -200,54 +257,61 @@ _ORDER = st.integers(1, 60).map(str)
 _WEIGHT = st.sampled_from(("0", "1", "2", "1/2", "3/2", "-1"))
 _GRID = st.sampled_from(("1,2", "3/2", "0,1/2", "1", "0", "-1"))
 _JUNK = st.sampled_from(("", "x", "-1", "0", "2/0", "1.5", "nan", "1,,2"))
+_CLASSES = {"--a": None, "--b": None, "--m": None}
+_WEIGHTS = {"--x": _WEIGHT, "--y": _WEIGHT}
+_SWEEP = {"--m-max": st.integers(2, 4).map(str), "--N": _ORDER, "--x-grid": _GRID}
+_SYMMETRIC = {"--a": None, "--m": None, "--flavor": st.sampled_from(("01", "10", "11"))}
+# the flags of each leaf command; "oracle --total" is drawn as a leaf of its own
 _COMMANDS = {
-    "compute-bias": ([], {"--a": None, "--b": None, "--m": None, "--x": _WEIGHT,
-                          "--y": _WEIGHT, "--N": _ORDER,
-                          "--method": st.sampled_from(("gf", "dp", "symmetric"))}),
-    "verify": (["thm1", "thm2", "lemma2-1", "nonneg", "identities"],
-               {"--m-max": st.integers(2, 4).map(str), "--N": _ORDER, "--x-grid": _GRID,
-                "--y-grid": _GRID, "--a": None, "--b": None, "--m": None,
-                "--x": _WEIGHT, "--y": _WEIGHT,
-                "--kind": st.sampled_from(("f_series", "maino", "chern_corollary", "andrews")),
-                "--draws": st.integers(1, 3).map(str), "--seed": _SMALL,
-                "--names": st.sampled_from(("jacobi", "fine,heine", "kronecker", "nope"))}),
-    "scan-conjecture": ([], {"--a": None, "--b": None, "--m": None, "--N": _ORDER}),
-    "asymptotics": (["constants", "predict", "convergence", "boundary"],
-                    {"--a": None, "--m": None,
-                     "--flavor": st.sampled_from(("01", "10", "11")),
-                     "--profile": st.sampled_from(("partitions", "distinct", "overpartitions")),
-                     "--n-values": st.sampled_from(("10,100", "1000", "0", "-5")),
-                     "--samples": st.sampled_from(("20,40", "30,60", "0,1", "-5,0")),
-                     "--z": st.sampled_from(("0.5,0.4", "0.05", "2", "-0.3", "0")),
-                     "--h": _SMALL, "--N": _ORDER}),
-    "oracle": ([], {"--a": None, "--b": None, "--m": None, "--x": _WEIGHT,
-                    "--y": _WEIGHT, "--n": st.integers(0, 12).map(str)}),
-    "cross-check": ([], {"--m-max": st.integers(2, 3).map(str),
-                         "--n-max": st.integers(1, 10).map(str)}),
+    "compute-bias": {**_CLASSES, **_WEIGHTS, "--N": _ORDER,
+                     "--method": st.sampled_from(("gf", "dp", "symmetric"))},
+    "verify thm1": {**_SWEEP, "--y-grid": _GRID},
+    "verify thm2": _SWEEP,
+    "verify lemma2-1": {**_CLASSES, **_WEIGHTS, "--N": _ORDER},
+    "verify nonneg": {
+        "--kind": st.sampled_from(("f_series", "maino", "chern_corollary", "andrews")),
+        "--draws": st.integers(1, 3).map(str), "--seed": _SMALL, "--N": _ORDER},
+    "verify identities": {
+        "--names": st.sampled_from(("jacobi", "fine,heine", "kronecker", "nope")),
+        "--N": _ORDER},
+    "scan-conjecture": {**_CLASSES, "--N": _ORDER},
+    "asymptotics constants": _SYMMETRIC,
+    "asymptotics predict": {
+        "--profile": st.sampled_from(("partitions", "distinct", "overpartitions")),
+        "--n-values": st.sampled_from(("10,100", "1000", "0", "-5"))},
+    "asymptotics convergence": {
+        **_SYMMETRIC, "--samples": st.sampled_from(("20,40", "30,60", "0,1", "-5,0")),
+        "--N": _ORDER},
+    "asymptotics boundary": {
+        **_SYMMETRIC, "--z": st.sampled_from(("0.5,0.4", "0.05", "2", "-0.3", "0")),
+        "--h": _SMALL, "--N": _ORDER},
+    "oracle": {**_CLASSES, **_WEIGHTS, "--n": st.integers(0, 12).map(str)},
+    "oracle --total": {**_WEIGHTS, "--n": st.integers(0, 12).map(str)},
+    "cross-check": {"--m-max": st.integers(2, 3).map(str),
+                    "--n-max": st.integers(1, 10).map(str)},
 }
 # flags given on every draw: required ones, and those whose defaults would
 # run far past the caps
 _ALWAYS = {"--a", "--b", "--m", "--N", "--samples", "--n", "--m-max", "--n-max",
-           "--draws"}
+           "--draws", "--profile"}
 
 
 @st.composite
 def small_argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
-    heads, flags = _COMMANDS[command]
-    argv = [command] + ([draw(st.sampled_from(heads))] if heads else [])
+    argv = command.split()
     m = draw(st.integers(2, 7))
     classes = {"--m": str(m), "--a": str(draw(st.integers(1, m))),
                "--b": str(draw(st.integers(1, m)))}
-    for flag, values in flags.items():
+    for flag, values in _COMMANDS[command].items():
         if flag in _ALWAYS or draw(st.booleans()):
             argv += [flag, classes.get(flag) or draw(values)]
-    if command == "oracle" and draw(st.booleans()):
-        argv.append("--total")
     if len(argv) > 2 and draw(st.booleans()):
         # one malformed value or token
         argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
-    return argv + ["--jobs", "1", "--format", draw(st.sampled_from(("json", "csv", "human")))]
+    if command in ("verify thm1", "verify thm2"):
+        argv += ["--jobs", "1"]
+    return argv + ["--format", draw(st.sampled_from(("json", "csv", "human")))]
 
 
 @settings(max_examples=60, deadline=None)
