@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import FLAVOR_XY, bias_series_symmetric, total_weighted_series
+from .engine import (FLAVOR_XY, bias_series_symmetric, check_symmetric_args,
+                     total_weighted_series)
 from .scalars import InvalidParameterError, TailBoundError
 from .series import evaluate_numeric
 
@@ -151,10 +152,7 @@ def bias_constant(a: int, m: int, flavor: str) -> BiasConstant:
     Flavor 01 is exactly 1/2; flavors 10 and 11 share the value
     digamma_diff(a, m) * sin(a*pi/m) / (2*pi).
     """
-    if flavor not in FLAVOR_XY:
-        raise InvalidParameterError("flavor must be one of '01', '10', '11'")
-    if not (isinstance(a, int) and isinstance(m, int) and 1 <= a and 2 * a < m):
-        raise InvalidParameterError("need 1 <= a < m/2")
+    check_symmetric_args(a, m, flavor)
     if flavor == "01":
         return BiasConstant(a, m, flavor, 0.5)
     value = digamma_diff(a, m) * math.sin(a * math.pi / m) / (2.0 * math.pi)
@@ -223,16 +221,17 @@ class ConvergenceReport:
         return out
 
 
-def convergence_report(a: int, m: int, flavor: str, samples,
-                       N: int | None = None) -> ConvergenceReport:
+def convergence_report(a: int, m: int, flavor: str, samples) -> ConvergenceReport:
     """Exact ratios R_n = bias_n / total_n at the sample indices, against
-    the limiting constant; trend passes when |R_n - c| strictly decreases."""
+    the limiting constant; trend passes when |R_n - c| strictly decreases.
+
+    Coefficient n of an exact series does not depend on the truncation
+    order, so both series stop at the largest sample.
+    """
     samples = sorted(set(int(s) for s in samples))
     if not samples or samples[0] < 1:
         raise InvalidParameterError("need positive sample indices")
-    order = N if N is not None else samples[-1]
-    if order < samples[-1]:
-        raise InvalidParameterError("truncation order below the largest sample")
+    order = samples[-1]
     if order > 2500:
         raise InvalidParameterError("exact-series guideline is N <= 2500")
     const = bias_constant(a, m, flavor).value
@@ -261,6 +260,7 @@ def boundary_main_term(a: int, m: int, flavor: str, z: float) -> float:
     11:  c * (z/(4 pi m))^{1/2} * exp(pi^2 m / (4 z))
     with c the flavor's bias constant.
     """
+    check_symmetric_args(a, m, flavor)
     if z <= 0:
         raise InvalidParameterError("z must be positive")
     if flavor == "01":
@@ -287,6 +287,7 @@ _BOUNDARY_TAIL = 1e-9
 def suggest_boundary_order(flavor: str, m: int, z: float) -> int:
     """Smallest power-of-two order (at least 64) with coefficient tail
     exp(C sqrt(n) - z n / m) below _BOUNDARY_TAIL, up to 2^15."""
+    check_symmetric_args(1, m, flavor)  # a = 1 is a class of every m that has one
     c = _GROWTH[flavor]
     n = 64
     while c * math.sqrt(n) - z * n / m + math.log(n + 1.0) > math.log(_BOUNDARY_TAIL):
@@ -336,9 +337,8 @@ def boundary_check(a: int, m: int, flavor: str, z_samples, h: int = 0,
     to decay).  A failing tail bound rejects the call and names a feasible
     order; an order above 2^15, given or needed, is an invalid parameter.
     """
+    check_symmetric_args(a, m, flavor)
     _require_float_classes(a, m)
-    if flavor not in FLAVOR_XY:
-        raise InvalidParameterError("flavor must be one of '01', '10', '11'")
     z_samples = sorted(float(z) for z in z_samples)
     if not z_samples or z_samples[0] <= 0:
         raise InvalidParameterError("z samples must be positive")

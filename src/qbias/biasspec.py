@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scalars import InvalidParameterError, format_rational, rational
+from .scalars import InvalidParameterError, format_rational, nonneg_weight
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class BiasSpec:
             raise InvalidParameterError("residue classes must lie in 1..m")
         if self.a == self.b:
             raise InvalidParameterError("residue classes must differ")
-        x = rational(self.x)
-        y = rational(self.y)
-        if x < 0 or y < 0:
-            raise InvalidParameterError("weights must be non-negative")
+        x, y = nonneg_weight(self.x), nonneg_weight(self.y)
         if x == 0 and y == 0:
             raise InvalidParameterError("weights must not both vanish")
         object.__setattr__(self, "x", x)

@@ -23,11 +23,7 @@ from .engine import (
     symmetric_distinct_pair,
 )
 from .kernel import add_shifted, div1, mul1, rung, scaled_weights, ungrade
-from .scalars import (
-    INTEGER,
-    InvalidParameterError,
-    rational,
-)
+from .scalars import INTEGER, InvalidParameterError, nonneg_weight, positive_order, rational
 from .series import TruncatedSeries
 
 __all__ = [
@@ -48,6 +44,11 @@ __all__ = [
 # -- divisor witness for the distinct-parts dominance family -------------------
 
 
+def _check_ordered_classes(a, b, m):
+    if not (1 <= a < b <= m):
+        raise InvalidParameterError("need 1 <= a < b <= m")
+
+
 def doubling_orbit_witness(a: int, b: int, m: int):
     """Smallest k | (b-a) whose doubling orbit {2^h k mod m : h >= 0}
     avoids both residue classes a and b; None when no divisor qualifies.
@@ -55,8 +56,7 @@ def doubling_orbit_witness(a: int, b: int, m: int):
     The orbit of k under doubling mod m enters a cycle within m steps, so
     2m iterations with seen-state detection decide each candidate.
     """
-    if not (1 <= a < b <= m):
-        raise InvalidParameterError("need 1 <= a < b <= m")
+    _check_ordered_classes(a, b, m)
     am, bm = a % m, b % m
     diff = b - a
     for k in range(1, diff + 1):
@@ -104,13 +104,6 @@ def _require(cond, message):
         raise InvalidParameterError(f"hypothesis violated: {message}")
 
 
-def _as_weight(v):
-    v = rational(v)
-    if v < 0:
-        raise InvalidParameterError("weights must be non-negative")
-    return v
-
-
 def _ladder_sum(P, Q, D, s, m, c, N):
     """Graded sum over k >= 0 of prod_{j<k}(x+y q^{s+jm}) q^{c*(k+1)}
     divided by (q^s;q^m)_{k+1}.
@@ -129,8 +122,8 @@ def _ladder_sum(P, Q, D, s, m, c, N):
 
 def _expand_f_series(params, N):
     a, b, m = params["a"], params["b"], params["m"]
-    x, y = _as_weight(params["x"]), _as_weight(params["y"])
-    _require(1 <= a < b <= m, "need 1 <= a < b <= m")
+    x, y = nonneg_weight(params["x"]), nonneg_weight(params["y"])
+    _check_ordered_classes(a, b, m)
     _require(x >= 1, "need x >= 1")
     _require((a, b) != (1, 2), "the claim excludes (a, b) = (1, 2)")
     P, Q, D = scaled_weights(x, y)
@@ -142,7 +135,7 @@ def _expand_f_series(params, N):
 
 def _expand_maino(params, N):
     a, b, m, s = params["a"], params["b"], params["m"], params["s"]
-    x, y = _as_weight(params["x"]), _as_weight(params["y"])
+    x, y = nonneg_weight(params["x"]), nonneg_weight(params["y"])
     _require(isinstance(a, int) and a >= 1, "a must be a positive integer")
     _require(isinstance(b, int) and b >= 1, "b must be a positive integer")
     _require(isinstance(m, int) and m >= 1, "m must be a positive integer")
@@ -173,7 +166,7 @@ def _expand_chern_corollary(params, N):
 def _expand_andrews(params, N):
     a_seq, b_seq = list(params["a_seq"]), list(params["b_seq"])
     h = params["h"]
-    x, y = _as_weight(params["x"]), _as_weight(params["y"])
+    x, y = nonneg_weight(params["x"]), nonneg_weight(params["y"])
     _require(len(a_seq) == len(b_seq) and a_seq, "sequences must share a positive length")
     _require(all(isinstance(v, int) and v >= 1 for v in a_seq + b_seq),
              "sequence entries must be positive integers")
@@ -204,7 +197,7 @@ def _expand_andrews(params, N):
     return TruncatedSeries.from_coeffs(*ungrade(co, D))
 
 
-_NONNEG_KINDS = {
+NONNEG_KINDS = {
     "f_series": _expand_f_series,
     "maino": _expand_maino,
     "chern_corollary": _expand_chern_corollary,
@@ -218,11 +211,10 @@ def nonneg_expand(kind: str, params: dict, N: int) -> TruncatedSeries:
     Hypotheses are checked up front and named on failure; the suite never
     silently evaluates outside a claim's scope.
     """
-    if kind not in _NONNEG_KINDS:
+    if kind not in NONNEG_KINDS:
         raise InvalidParameterError(f"unknown non-negativity kind {kind!r}")
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParameterError("order must be a positive integer")
-    return _NONNEG_KINDS[kind](params, N)
+    positive_order(N)
+    return NONNEG_KINDS[kind](params, N)
 
 
 def nonneg_suite(kind: str, params: dict, N: int) -> NonnegReport:
@@ -323,8 +315,7 @@ def conjecture_scan(a: int, b: int, m: int, N: int) -> ScanReport:
     violations occur in the top tenth of the horizon.  No claim is made
     beyond the horizon.
     """
-    if not (1 <= a < b <= m):
-        raise InvalidParameterError("need 1 <= a < b <= m")
+    _check_ordered_classes(a, b, m)
     if m < 3:
         raise InvalidParameterError("the scan needs m >= 3")
     if b == m - a and 2 * a < m:
@@ -369,12 +360,11 @@ class SweepReport:
         }
 
 
-def _compare_worker(args):
-    a, b, m, xs, ys, N = args
-    spec = BiasSpec(a, b, m, rational(*xs), rational(*ys))
+def _compare_worker(task):
+    spec, N = task
     report = compare_bias(spec, N)
-    mono_fwd = monotonicity_check(report.values, m)[0]
-    mono_rev = monotonicity_check(report.swapped_values, m)[0]
+    mono_fwd = monotonicity_check(report.values, spec.m)[0]
+    mono_rev = monotonicity_check(report.swapped_values, spec.m)[0]
     return spec.label(), report.violations, mono_fwd and mono_rev
 
 
@@ -404,36 +394,19 @@ def _run_sweep(name, tasks, N, jobs, witnesses=None) -> SweepReport:
     return report
 
 
-def _as_pair(v):
-    v = rational(v)
-    return (int(v.numerator), int(v.denominator))
-
-
 def dominance_sweep(m_max: int, xs, ys, N: int, jobs: int | None = None) -> SweepReport:
     """Residue dominance over every ordered pair a < b <= m <= m_max and
     the given weight grids; weights x must satisfy x >= 1."""
-    xs = [rational(v) for v in xs]
-    ys = [rational(v) for v in ys]
-    if any(x < 1 for x in xs):
+    tasks = [(BiasSpec(a, b, m, x, y), N) for m in range(1, m_max + 1)
+             for b in range(2, m + 1) for a in range(1, b) for x in xs for y in ys]
+    if any(spec.x < 1 for spec, _ in tasks):
         raise InvalidParameterError("dominance grid needs x >= 1")
-    if any(y < 0 for y in ys):
-        raise InvalidParameterError("weights must be non-negative")
-    tasks = []
-    for m in range(1, m_max + 1):
-        for b in range(2, m + 1):
-            for a in range(1, b):
-                for x in xs:
-                    for y in ys:
-                        tasks.append((a, b, m, _as_pair(x), _as_pair(y), N))
     return _run_sweep("thm1", tasks, N, jobs)
 
 
 def distinct_dominance_sweep(m_max: int, xs, N: int, jobs: int | None = None) -> SweepReport:
     """Witnessed dominance with y = 1: every triple (a, b, m) admitting a
     doubling-orbit witness is checked over the x grid."""
-    xs = [rational(v) for v in xs]
-    if any(x < 0 for x in xs):
-        raise InvalidParameterError("weights must be non-negative")
     tasks = []
     witnesses = {}
     for m in range(1, m_max + 1):
@@ -443,8 +416,7 @@ def distinct_dominance_sweep(m_max: int, xs, N: int, jobs: int | None = None) ->
                 if k is None:
                     continue
                 witnesses[f"({a},{b},{m})"] = k
-                for x in xs:
-                    tasks.append((a, b, m, _as_pair(x), (1, 1), N))
+                tasks += [(BiasSpec(a, b, m, x, 1), N) for x in xs]
     return _run_sweep("thm2", tasks, N, jobs, witnesses)
 
 
@@ -460,10 +432,9 @@ def cross_check_matrix(m_max: int, n_max: int):
     Returns (rows, all_ok); each row records one spec and whether the three
     routes produced identical values for every n <= n_max.
     """
-    from .oracle import PAIR_CAP, oracle_bias
+    from .oracle import PAIR_CAP, check_cap, oracle_bias
 
-    if n_max > PAIR_CAP:
-        raise InvalidParameterError(f"oracle cross-checks are capped at n = {PAIR_CAP}")
+    check_cap(n_max, PAIR_CAP)
     rows = []
     all_ok = True
     for m in range(1, m_max + 1):

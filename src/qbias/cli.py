@@ -1,13 +1,20 @@
 """Command-line surface: every verification and computation as a
 reproducible, scriptable run with machine-readable output.
 
+Each leaf command has its own argparse parser, and every flag value is
+parsed there, by a ``type=`` converter for the exact rationals, the
+comma-separated lists and the positive counts; the runners only read the
+parsed values.
+
 Exit codes: 0 all checks pass, 1 verified violation, 2 invalid
-configuration (a flag the command does not read, given in full or
-abbreviated, and a verification that would compare nothing included),
-3 inconclusive (horizon or tail-bound guard tripped), 4 unexpected
-internal error (any exception that is not a ``QbiasError``; its
-traceback precedes the JSON error line).  Every exit code >= 2 also
-ends stderr with a structured JSON error object.
+configuration (a malformed value, a flag the command does not read, given
+in full or abbreviated, and a verification that would compare nothing
+included), 3 inconclusive (horizon or tail-bound guard tripped), 4
+unexpected internal error (any exception that is not a ``QbiasError``; its
+traceback precedes the JSON error line).  Every exit code >= 2 also ends
+stderr with a JSON object ``{"error": ..., "type": ...}``; an argparse
+refusal is an ``InvalidParameterError`` whose error is argparse's message,
+which names the flag, after the usage line.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .asymptotics import (
 )
 from .biasspec import BiasSpec
 from .checks import (
+    NONNEG_KINDS,
     conjecture_scan,
     cross_check_matrix,
     distinct_dominance_sweep,
@@ -59,12 +67,17 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 
-def _rational_list(text):
-    return [parse_rational(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _arg(parse, many=False):
+    """argparse type= for one ``parse`` value, or with many=True for a
+    comma-separated list of them; a refusal keeps parse's message."""
+    def convert(text):
+        try:
+            if many:
+                return [parse(tok) for tok in text.split(",") if tok.strip()]
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _positive_int(text):
@@ -74,14 +87,27 @@ def _positive_int(text):
     return value
 
 
-def _float_list(text):
-    vals = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"non-finite value in {text!r}")
-    return vals
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite number, not {text!r}")
+    return value
 
 
-_NONNEG_KINDS = ("f_series", "maino", "chern_corollary", "andrews")
+def _names(text):
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("need at least one identity name")
+    return names
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising, so a refusal leaves main on the QbiasError path;
+    subparsers take this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidParameterError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,18 +117,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to this path instead of stdout")
     for flag in ("--a", "--b", "--m"):
         classes.add_argument(flag, type=int, required=True)
-    weights.add_argument("--x", default="1")
-    weights.add_argument("--y", default="0")
+    weights.add_argument("--x", type=_arg(parse_rational), default="1")
+    weights.add_argument("--y", type=_arg(parse_rational), default="0")
     order.add_argument("--N", type=int, default=200)
     grid.add_argument("--m-max", type=int, default=6)
-    grid.add_argument("--x-grid", default="1,3/2,2,3")
-    grid.add_argument("--jobs", type=_positive_int, default=None,
+    grid.add_argument("--x-grid", type=_arg(parse_rational, many=True), default="1,3/2,2,3")
+    grid.add_argument("--jobs", type=_arg(_positive_int), default=None,
                       help="worker processes for the sweep (default: all cores)")
     symmetric.add_argument("--a", type=int, required=True)
     symmetric.add_argument("--m", type=int, required=True)
-    symmetric.add_argument("--flavor", choices=tuple(FLAVOR_XY))
 
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="qbias",
         description="Exact residue-class bias computations and verifications.",
     )
@@ -123,15 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("gf", "dp", "symmetric"), default="gf")
 
     p = leaf("verify thm1", "weighted dominance sweep", grid, order)
-    p.add_argument("--y-grid", default="0,1/2,1,2")
+    p.add_argument("--y-grid", type=_arg(parse_rational, many=True), default="0,1/2,1,2")
     leaf("verify thm2", "witnessed y=1 dominance sweep", grid, order)
     leaf("verify lemma2-1", "monotonicity of one bias sequence", classes, weights, order)
     p = leaf("verify nonneg", "seeded non-negativity draws", order)
-    p.add_argument("--kind", choices=_NONNEG_KINDS)
-    p.add_argument("--draws", type=_positive_int, default=50)
+    p.add_argument("--kind", choices=tuple(NONNEG_KINDS), help="default: every kind")
+    p.add_argument("--draws", type=_arg(_positive_int), default=50)
     p.add_argument("--seed", type=int, default=0)
     p = leaf("verify identities", "triple-product and transformation identities", order)
-    p.add_argument("--names", default="jacobi,fine,heine,theta_reciprocal,kronecker")
+    p.add_argument("--names", type=_names,
+                   default="jacobi,fine,heine,theta_reciprocal,kronecker")
 
     p = leaf("scan-conjecture", "finite-horizon threshold scan", classes)
     p.add_argument("--N", type=int, required=True)
@@ -140,15 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
                        default=True)
     guard.add_argument("--no-horizon-guard", dest="horizon_guard", action="store_false")
 
-    leaf("asymptotics constants", "limiting bias constants", symmetric)
+    p = leaf("asymptotics constants", "limiting bias constants", symmetric)
+    p.add_argument("--flavor", choices=tuple(FLAVOR_XY), help="default: every flavor")
     p = leaf("asymptotics predict", "Tauberian growth prediction")
     p.add_argument("--profile", choices=tuple(PROFILES), required=True)
-    p.add_argument("--n-values", type=_int_list, default="1000")
+    p.add_argument("--n-values", type=_arg(int, many=True), default="1000")
     p = leaf("asymptotics convergence", "exact ratios against the constant", symmetric)
-    p.add_argument("--samples", type=_int_list, default="500,1000,2000")
-    p.add_argument("--N", type=int)
+    p.add_argument("--flavor", choices=tuple(FLAVOR_XY), default="01")
+    p.add_argument("--samples", type=_arg(int, many=True), default="500,1000,2000")
     p = leaf("asymptotics boundary", "real-point values near the boundary", symmetric)
-    p.add_argument("--z", type=_float_list, default="0.5,0.4,0.3")
+    p.add_argument("--flavor", choices=tuple(FLAVOR_XY), default="01")
+    p.add_argument("--z", type=_arg(_finite_float, many=True), default="0.5,0.4,0.3")
     p.add_argument("--h", type=int, default=0)
     p.add_argument("--N", type=int)
 
@@ -171,8 +199,7 @@ def _fmt_exact(v):
 
 
 def _run_compute_bias(args):
-    spec = BiasSpec(args.a, args.b, args.m,
-                    parse_rational(args.x), parse_rational(args.y))
+    spec = BiasSpec(args.a, args.b, args.m, args.x, args.y)
     if args.method == "symmetric":
         if spec.b != spec.m - spec.a:
             raise InvalidParameterError("symmetric method needs b = m - a")
@@ -203,18 +230,16 @@ def _sweep_result(rep):
 
 def _run_thm1(args):
     return _sweep_result(dominance_sweep(
-        args.m_max, _rational_list(args.x_grid), _rational_list(args.y_grid), args.N,
-        jobs=args.jobs))
+        args.m_max, args.x_grid, args.y_grid, args.N, jobs=args.jobs))
 
 
 def _run_thm2(args):
     return _sweep_result(distinct_dominance_sweep(
-        args.m_max, _rational_list(args.x_grid), args.N, jobs=args.jobs))
+        args.m_max, args.x_grid, args.N, jobs=args.jobs))
 
 
 def _run_lemma2_1(args):
-    spec = BiasSpec(args.a, args.b, args.m,
-                    parse_rational(args.x), parse_rational(args.y))
+    spec = BiasSpec(args.a, args.b, args.m, args.x, args.y)
     series = bias_series_gf(spec, args.N)
     ok, bad = monotonicity_check(series.coeffs, spec.m)
     obj = {
@@ -229,7 +254,7 @@ def _run_lemma2_1(args):
 
 
 def _run_nonneg(args):
-    kinds = [args.kind] if args.kind else _NONNEG_KINDS
+    kinds = [args.kind] if args.kind else NONNEG_KINDS
     rng = random.Random(args.seed)
     results = [nonneg_suite(kind, random_nonneg_params(kind, rng), args.N).to_json_obj()
                for kind in kinds for _ in range(args.draws)]
@@ -260,11 +285,8 @@ _IDENTITY_POINTS = [{"points": [(0.2, 0.5), (0.15, 0.4), (0.1, 0.3)]}]
 
 
 def _run_identities(args):
-    names = [s.strip() for s in args.names.split(",") if s.strip()]
-    if not names:
-        raise InvalidParameterError("identities needs at least one name in --names")
     reports = [verify_identity(name, params, args.N if name in _IDENTITY_SUBS else None)
-               for name in names for params in _IDENTITY_SUBS.get(name, _IDENTITY_POINTS)]
+               for name in args.names for params in _IDENTITY_SUBS.get(name, _IDENTITY_POINTS)]
     results = [rep.to_json_obj() for rep in reports]
     all_ok = all(rep.passed for rep in reports)
     obj = {"check": "identities", "passed": all_ok, "results": results}
@@ -313,13 +335,13 @@ def _run_predict(args):
 
 
 def _run_convergence(args):
-    rep = convergence_report(args.a, args.m, args.flavor or "01", args.samples, args.N)
+    rep = convergence_report(args.a, args.m, args.flavor, args.samples)
     code = EXIT_PASS if rep.trend_ok in (True, None) else EXIT_VIOLATION
     return {"task": "convergence", **rep.to_json_obj()}, rep.to_csv_rows(), code
 
 
 def _run_boundary(args):
-    rep = boundary_check(args.a, args.m, args.flavor or "01", args.z, args.h, args.N)
+    rep = boundary_check(args.a, args.m, args.flavor, args.z, args.h, args.N)
     return {"task": "boundary", **rep.to_json_obj()}, rep.to_csv_rows(), EXIT_PASS
 
 
@@ -329,12 +351,11 @@ def _run_oracle(args):
     if classes.count(None) != (3 if args.total else 0):
         raise InvalidParameterError("the bias oracle needs --a --b --m; --total takes none")
     if args.total:
-        x, y = parse_rational(args.x), parse_rational(args.y)
-        value = oracle_total(x, y, args.n)
-        obj = {"oracle": "total", "x": format_rational(x), "y": format_rational(y),
+        value = oracle_total(args.x, args.y, args.n)
+        obj = {"oracle": "total", "x": format_rational(args.x), "y": format_rational(args.y),
                "n": args.n, "value": _fmt_exact(value)}
     else:
-        spec = BiasSpec(*classes, parse_rational(args.x), parse_rational(args.y))
+        spec = BiasSpec(*classes, args.x, args.y)
         value = oracle_bias(spec, args.n)
         obj = {"oracle": "bias", "spec": spec.to_json_obj(), "n": args.n,
                "value": _fmt_exact(value)}
@@ -388,17 +409,13 @@ def _emit(args, obj, rows) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            sys.stderr.write(canonical_json({"error": "invalid arguments"}))
-            return EXIT_INVALID
-        return 0
-    try:
+        args = build_parser().parse_args(argv)
         obj, rows, code = _RUNNERS[args.command](args)
         _emit(args, obj, rows)
+    except SystemExit:
+        # only --help exits the parser: every refusal raises InvalidParameterError
+        return EXIT_PASS
     except QbiasError as exc:
         sys.stderr.write(canonical_json(
             {"error": str(exc), "type": type(exc).__name__}))

@@ -26,12 +26,7 @@ from functools import lru_cache
 from .biasspec import BiasSpec
 from .kernel import (add_shifted, euler, jacobi, mul_trunc, progression, quotient, rung,
                      scaled_weights, ungrade)
-from .scalars import (
-    INTEGER,
-    RATIONAL,
-    InvalidParameterError,
-    rational,
-)
+from .scalars import INTEGER, RATIONAL, InvalidParameterError, nonneg_weight, positive_order
 from .series import TruncatedSeries, theta_partial
 
 __all__ = [
@@ -67,12 +62,8 @@ def total_weighted_series(x, y, N: int) -> TruncatedSeries:
     (1,0) gives the partition numbers, (0,1) the distinct-partition
     numbers, (1,1) the overpartition numbers; (0,0) is the constant 1.
     """
-    x, y = rational(x), rational(y)
-    if x < 0 or y < 0:
-        raise InvalidParameterError("weights must be non-negative")
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParameterError("order must be a positive integer")
-    P, Q, D = scaled_weights(x, y)
+    P, Q, D = scaled_weights(nonneg_weight(x), nonneg_weight(y))
+    positive_order(N)
     return TruncatedSeries.from_coeffs(*ungrade(_total_graded(P, Q, D, N), D))
 
 
@@ -107,8 +98,7 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     tail) pair from its lowest possible power on: A_k from q^{ak}, S_{n+1}
     and T_n from q^{a(n+1)}, so a step touches the support only.
     """
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParameterError("order must be a positive integer")
+    positive_order(N)
     a, b, m = spec.a, spec.b, spec.m
     P, Q, D = scaled_weights(spec.x, spec.y)
 
@@ -151,8 +141,7 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
     w = t, 1/t or 1 according to the residue class of d; the bias sums the
     positive t-powers.
     """
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParameterError("order must be a positive integer")
+    positive_order(N)
     a, b, m, x, y = spec.a, spec.b, spec.m, spec.x, spec.y
     if x.denominator == 1 and y.denominator == 1:
         domain, x, y = INTEGER, int(x), int(y)
@@ -190,7 +179,8 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
 FLAVOR_XY = {"01": (0, 1), "10": (1, 0), "11": (1, 1)}
 
 
-def _check_symmetric_args(a, m, flavor, N):
+def check_symmetric_args(a, m, flavor):
+    """Reject a flavor or classes (a, m - a) with no symmetric closed form."""
     if flavor not in FLAVOR_XY:
         raise InvalidParameterError("flavor must be one of '01', '10', '11'")
     if not (isinstance(a, int) and isinstance(m, int)):
@@ -198,8 +188,6 @@ def _check_symmetric_args(a, m, flavor, N):
     if not (1 <= a and 2 * a < m):
         raise InvalidParameterError(
             "symmetric classes need 1 <= a < m/2 (so that m-a differs from a)")
-    if not isinstance(N, int) or N < 1:
-        raise InvalidParameterError("order must be a positive integer")
 
 
 def _symmetric_prefactor(a, m, flavor, N):
@@ -225,7 +213,8 @@ def _symmetric_prefactor(a, m, flavor, N):
 def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSeries:
     """p_n(a, m-a, m; x, y) via the single-sum closed forms, flavors
     01 -> (x,y)=(0,1), 10 -> (1,0), 11 -> (1,1)."""
-    _check_symmetric_args(a, m, flavor, N)
+    check_symmetric_args(a, m, flavor)
+    positive_order(N)
     co = _symmetric_prefactor(a, m, flavor, N)
 
     if flavor == "01":
@@ -267,7 +256,8 @@ def symmetric_distinct_pair(a: int, m: int, N: int):
     the negative marker powers swaps the theta argument a -> m-a under the
     same product prefactor.
     """
-    _check_symmetric_args(a, m, "01", N)
+    check_symmetric_args(a, m, "01")
+    positive_order(N)
     co = _symmetric_prefactor(a, m, "01", N)
     fwd = mul_trunc(co, theta_partial(m, a, N).coeffs, N)
     rev = mul_trunc(co, theta_partial(m, m - a, N).coeffs, N)

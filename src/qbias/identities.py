@@ -15,6 +15,7 @@ from .kernel import div1, mul1
 from .scalars import (
     RATIONAL,
     InvalidParameterError,
+    positive_order,
     rational,
 )
 from .series import TruncatedSeries, pochhammer_product
@@ -247,8 +248,7 @@ def verify_identity(name: str, params: dict, N: int | None = None,
     when every absolute residual stays below the tolerance.
     """
     if name in _FORMAL:
-        if N is None or not isinstance(N, int) or N < 1:
-            raise InvalidParameterError("formal checks need a positive order N")
+        positive_order(N)
         lhs, rhs = _FORMAL[name](params, N)
         diffs = [abs(u - v) for u, v in zip(lhs, rhs)]
         worst = max(diffs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .scalars import InvalidParameterError, rational
+from .scalars import InvalidParameterError, nonneg_weight, rational
 
 ENUM_CAP = 60      # single-set enumeration cap
 PAIR_CAP = 36      # cap for sums over pairs (lam, mu) with |lam|+|mu| = n
@@ -71,36 +71,28 @@ def _iter_distinct(n: int, maxpart: int):
             yield (first,) + rest
 
 
-def _check_enum_cap(n: int):
+def check_cap(n: int, cap: int):
+    """Reject a size n the enumeration cannot reach: not an integer in 0..cap."""
     if not isinstance(n, int) or n < 0:
         raise InvalidParameterError("n must be a non-negative integer")
-    if n > ENUM_CAP:
+    if n > cap:
         raise InvalidParameterError(
-            f"n={n} exceeds the enumeration cap {ENUM_CAP}; "
+            f"n={n} exceeds the enumeration cap {cap}; "
             "use the series engine for larger sizes")
 
 
 def enumerate_partitions(n: int):
     """Stream every partition of n exactly once (n <= 60)."""
-    _check_enum_cap(n)
+    check_cap(n, ENUM_CAP)
     for parts in _iter_partitions(n, n if n else 1):
         yield Partition(parts)
 
 
 def enumerate_distinct(n: int):
     """Stream every partition of n into distinct parts exactly once (n <= 60)."""
-    _check_enum_cap(n)
+    check_cap(n, ENUM_CAP)
     for parts in _iter_distinct(n, n if n else 1):
         yield Partition(parts)
-
-
-def _check_pair_cap(n: int):
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParameterError("n must be a non-negative integer")
-    if n > PAIR_CAP:
-        raise InvalidParameterError(
-            f"n={n} exceeds the pair-enumeration cap {PAIR_CAP}; "
-            "use the series engine for larger sizes")
 
 
 @lru_cache(maxsize=4096)
@@ -161,7 +153,7 @@ def oracle_bias(spec: BiasSpec, n: int):
     |lam| + |mu| = n and more parts in class a than in class b (classes
     counted jointly over the pair).
     """
-    _check_pair_cap(n)
+    check_cap(n, PAIR_CAP)
     m = spec.m
     return _evaluate(_pair_terms(n, (spec.a % m, spec.b % m, m)), spec.x, spec.y)
 
@@ -172,20 +164,17 @@ def oracle_total(x, y, n: int):
     Specialisations: (1,0) counts partitions, (0,1) distinct partitions,
     (1,1) overpartitions.
     """
-    _check_pair_cap(n)
-    x, y = rational(x), rational(y)
-    if x < 0 or y < 0:
-        raise InvalidParameterError("weights must be non-negative")
-    return _evaluate(_pair_terms(n, None), x, y)
+    check_cap(n, PAIR_CAP)
+    return _evaluate(_pair_terms(n, None), nonneg_weight(x), nonneg_weight(y))
 
 
 def count_partitions(n: int) -> int:
     """|P(n)| by direct enumeration."""
-    _check_enum_cap(n)
+    check_cap(n, ENUM_CAP)
     return sum(1 for _ in _iter_partitions(n, n if n else 1))
 
 
 def count_distinct(n: int) -> int:
     """|D(n)| by direct enumeration."""
-    _check_enum_cap(n)
+    check_cap(n, ENUM_CAP)
     return sum(1 for _ in _iter_distinct(n, n if n else 1))

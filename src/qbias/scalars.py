@@ -79,6 +79,21 @@ def parse_rational(text: str):
         raise InvalidParameterError(f"not an exact rational: {text!r}")
 
 
+def positive_order(N) -> int:
+    """The truncation order N, which must be a positive integer."""
+    if not isinstance(N, int) or N < 1:
+        raise InvalidParameterError("order must be a positive integer")
+    return N
+
+
+def nonneg_weight(v):
+    """The weight v as an exact rational, which must be non-negative."""
+    v = rational(v)
+    if v < 0:
+        raise InvalidParameterError("weights must be non-negative")
+    return v
+
+
 def format_rational(v) -> str:
     """Canonical "p/q" form (denominator always present, positive)."""
     return f"{v.numerator}/{v.denominator}"

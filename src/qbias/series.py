@@ -16,6 +16,7 @@ from .scalars import (
     InvalidParameterError,
     SingularSeriesError,
     is_rational_value,
+    positive_order,
     rational,
 )
 
@@ -47,11 +48,8 @@ class TruncatedSeries:
     def __init__(self, domain, order, coeffs=None):
         if domain not in DOMAINS:
             raise InvalidParameterError(f"unknown domain {domain!r}")
-        if not isinstance(order, int) or order <= 0:
-            raise InvalidParameterError(
-                f"truncation order must be a positive integer, got {order!r}")
         self.domain = domain
-        self.order = order
+        self.order = positive_order(order)
         if coeffs is None:
             self.coeffs = [_zero(domain)] * (order + 1)
         else:

@@ -20,6 +20,7 @@ from qbias import (
     tauberian_predict_log,
     total_weighted_series,
 )
+from qbias.asymptotics import suggest_boundary_order
 
 # frozen regression value for the (1,3) flavor-10 constant:
 # (psi(2/3) - psi(1/6)) * sin(pi/3) / (2*pi), first verified run
@@ -105,8 +106,6 @@ def test_convergence_report_shapes():
     single = convergence_report(1, 4, "01", [100])
     assert single.trend_ok is None  # not applicable
     with pytest.raises(InvalidParameterError):
-        convergence_report(1, 4, "01", [100], N=50)
-    with pytest.raises(InvalidParameterError):
         convergence_report(1, 4, "01", [3000])
 
 
@@ -140,6 +139,17 @@ def test_boundary_rejects_unknown_flavor_and_underflow():
     for h in (0, 1):
         with pytest.raises(InvalidParameterError, match="z=10000"):
             boundary_check(1, 3, "01", [10000], h=h)
+
+
+def test_boundary_helpers_reject_classes_without_a_closed_form():
+    # an unknown flavor and m = 0 used to raise KeyError and ZeroDivisionError;
+    # (5, 3) and (1, 0) used to return a main term for a class pair with no closed form
+    for call in (lambda: suggest_boundary_order("xx", 3, 0.5),
+                 lambda: suggest_boundary_order("01", 0, 0.5),
+                 lambda: boundary_main_term(5, 3, "01", 1.0),
+                 lambda: boundary_main_term(1, 0, "01", 1.0)):
+        with pytest.raises(InvalidParameterError):
+            call()
 
 
 def test_boundary_ratio_sane_at_moderate_z():

@@ -63,25 +63,36 @@ def test_invalid_config_exit_2_and_json_error():
                  ["asymptotics", "convergence", "--a", "1", "--m", "3", "--samples", "3000"],
                  ["asymptotics", "predict", "--profile", "partitions",
                   "--n-values", "1" + "0" * 400],
-                 ["verify", "thm1", "--m-max", "2", "--N", "10", "--jobs", "-3"],
                  ["verify", "thm1", "--m-max", "2", "--N", "10", "--jobs", "0"],
                  # common flags follow the subcommand, never precede it
                  ["--format", "csv", "compute-bias", "--a", "1", "--b", "2", "--m", "2",
                   "--N", "5"],
                  ["--jobs", "3", "verify", "thm1", "--m-max", "2", "--N", "10"],
-                 # flags the command does not read, in full or abbreviated
-                 ["verify", "thm2", "--m-max", "4", "--N", "20", "--x-grid", "1",
-                  "--y-grid", "0"],
-                 ["verify", "identities", "--N", "20", "--kind", "maino"],
+                 # flags the command does not read
                  ["asymptotics", "constants", "--a", "1", "--m", "3", "--N", "10"],
+                 ["asymptotics", "convergence", "--a", "1", "--m", "3", "--N", "2000"],
                  ["compute-bias", "--a", "1", "--b", "2", "--m", "2", "--N", "5",
                   "--jobs", "2"],
-                 ["verify", "thm1", "--m", "3", "--N", "10"],
                  ["oracle", "--total", "--x", "1", "--y", "1", "--n", "3",
                   "--a", "1", "--b", "1", "--m", "9"]):
         res = run_cli(argv)
         assert res.returncode == 2, argv
-        assert "error" in json.loads(res.stderr.splitlines()[-1])
+        assert {"error", "type"} <= set(json.loads(res.stderr.splitlines()[-1])), argv
+    # argparse refusals take the same path, and their message names the flag
+    for flag, argv in (
+            ("--y-grid", ["verify", "thm2", "--m-max", "4", "--N", "20", "--x-grid", "1",
+                          "--y-grid", "0"]),
+            ("--kind", ["verify", "identities", "--N", "20", "--kind", "maino"]),
+            ("--jobs", ["verify", "thm1", "--m-max", "2", "--N", "10", "--jobs", "-3"]),
+            ("--m", ["verify", "thm1", "--m", "3", "--N", "10"]),  # abbreviates --m-max
+            ("--x", ["compute-bias", "--a", "1", "--b", "2", "--m", "3", "--N", "5",
+                     "--x", "1.5"]),
+            ("--x-grid", ["verify", "thm1", "--x-grid", "1,abc"])):
+        res = run_cli(argv)
+        assert res.returncode == 2, argv
+        err = json.loads(res.stderr.splitlines()[-1])
+        assert err["type"] == "InvalidParameterError", argv
+        assert flag in err["error"], argv
 
 
 def test_tail_bound_failure_exit_3_and_json_error():
@@ -205,6 +216,11 @@ def test_main_callable_in_process(capsys):
     assert obj["values"][0]["value"] == 0.5
 
 
+def test_help_returns_0_in_process(capsys):
+    assert main(["verify", "thm1", "--help"]) == 0
+    assert "--y-grid" in capsys.readouterr().out
+
+
 def test_unexpected_exception_exit_4_and_json_error(monkeypatch, capsys):
     def broken(spec, N):
         raise ZeroDivisionError("defect")
@@ -256,7 +272,9 @@ _SMALL = st.integers(1, 7).map(str)
 _ORDER = st.integers(1, 60).map(str)
 _WEIGHT = st.sampled_from(("0", "1", "2", "1/2", "3/2", "-1"))
 _GRID = st.sampled_from(("1,2", "3/2", "0,1/2", "1", "0", "-1"))
-_JUNK = st.sampled_from(("", "x", "-1", "0", "2/0", "1.5", "nan", "1,,2"))
+_JUNK = st.sampled_from(("", "x", "-1", "0", "2/0", "1.5", "nan", "1,,2", "1,abc"))
+# flags whose values argparse converts to exact rationals or names
+_CONVERTED = ("--x", "--y", "--x-grid", "--y-grid", "--names")
 _CLASSES = {"--a": None, "--b": None, "--m": None}
 _WEIGHTS = {"--x": _WEIGHT, "--y": _WEIGHT}
 _SWEEP = {"--m-max": st.integers(2, 4).map(str), "--N": _ORDER, "--x-grid": _GRID}
@@ -280,8 +298,7 @@ _COMMANDS = {
         "--profile": st.sampled_from(("partitions", "distinct", "overpartitions")),
         "--n-values": st.sampled_from(("10,100", "1000", "0", "-5"))},
     "asymptotics convergence": {
-        **_SYMMETRIC, "--samples": st.sampled_from(("20,40", "30,60", "0,1", "-5,0")),
-        "--N": _ORDER},
+        **_SYMMETRIC, "--samples": st.sampled_from(("20,40", "30,60", "0,1", "-5,0"))},
     "asymptotics boundary": {
         **_SYMMETRIC, "--z": st.sampled_from(("0.5,0.4", "0.05", "2", "-0.3", "0")),
         "--h": _SMALL, "--N": _ORDER},
@@ -307,8 +324,12 @@ def small_argv(draw):
         if flag in _ALWAYS or draw(st.booleans()):
             argv += [flag, classes.get(flag) or draw(values)]
     if len(argv) > 2 and draw(st.booleans()):
-        # one malformed value or token
-        argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
+        # one malformed token anywhere, or in the value of a converted flag
+        spots = [i + 1 for i, tok in enumerate(argv) if tok in _CONVERTED]
+        if spots and draw(st.booleans()):
+            argv[draw(st.sampled_from(spots))] = draw(_JUNK)
+        else:
+            argv[draw(st.integers(1, len(argv) - 1))] = draw(_JUNK)
     if command in ("verify thm1", "verify thm2"):
         argv += ["--jobs", "1"]
     return argv + ["--format", draw(st.sampled_from(("json", "csv", "human")))]
@@ -322,4 +343,4 @@ def test_exit_code_contract_on_random_argv(argv):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4), argv
     if code >= 2:
-        assert "error" in json.loads(err.getvalue().splitlines()[-1]), argv
+        assert {"error", "type"} <= set(json.loads(err.getvalue().splitlines()[-1])), argv
