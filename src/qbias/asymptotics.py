@@ -11,6 +11,8 @@ series engines.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,10 +98,17 @@ def _require_float_classes(a, m):
     float arithmetic divides by m (a/m would underflow to 0.0)."""
     if not (isinstance(a, int) and isinstance(m, int) and m >= 1):
         raise InvalidParameterError("need integers a and m >= 1")
-    try:
-        float(a), float(m)
-    except OverflowError:
-        raise InvalidParameterError("a and m must be within float range") from None
+    if max(abs(a), m) > sys.float_info.max:
+        raise InvalidParameterError("a and m must be within float range")
+
+
+def _positive_z(z) -> float:
+    """z as a float, which must be positive and finite."""
+    with suppress(OverflowError):  # an int beyond float range stays one, and is refused
+        z = float(z)
+    if not 0 < z <= sys.float_info.max:
+        raise InvalidParameterError("z must be positive and finite")
+    return z
 
 
 def digamma_diff(a: int, m: int) -> float:
@@ -261,14 +270,17 @@ def boundary_main_term(a: int, m: int, flavor: str, z: float) -> float:
     with c the flavor's bias constant.
     """
     check_symmetric_args(a, m, flavor)
-    if z <= 0:
-        raise InvalidParameterError("z must be positive")
+    _require_float_classes(a, m)
+    z = _positive_z(z)
+    growth = math.pi**2 * m / ({"01": 12.0, "10": 6.0, "11": 4.0}[flavor] * z)
+    if growth > math.log(sys.float_info.max):
+        raise InvalidParameterError(f"the main term exceeds float range at z={z}")
     if flavor == "01":
-        return 0.5 / math.sqrt(2.0) * math.exp(math.pi**2 * m / (12.0 * z))
+        return 0.5 / math.sqrt(2.0) * math.exp(growth)
     c = bias_constant(a, m, flavor).value
     if flavor == "10":
-        return c * math.sqrt(z / (2.0 * math.pi * m)) * math.exp(math.pi**2 * m / (6.0 * z))
-    return c * math.sqrt(z / (4.0 * math.pi * m)) * math.exp(math.pi**2 * m / (4.0 * z))
+        return c * math.sqrt(z / (2.0 * math.pi * m)) * math.exp(growth)
+    return c * math.sqrt(z / (4.0 * math.pi * m)) * math.exp(growth)
 
 
 _GROWTH = {"01": math.pi / math.sqrt(3.0),
@@ -288,6 +300,8 @@ def suggest_boundary_order(flavor: str, m: int, z: float) -> int:
     """Smallest power-of-two order (at least 64) with coefficient tail
     exp(C sqrt(n) - z n / m) below _BOUNDARY_TAIL, up to 2^15."""
     check_symmetric_args(1, m, flavor)  # a = 1 is a class of every m that has one
+    _require_float_classes(1, m)
+    z = _positive_z(z)
     c = _GROWTH[flavor]
     n = 64
     while c * math.sqrt(n) - z * n / m + math.log(n + 1.0) > math.log(_BOUNDARY_TAIL):
@@ -339,9 +353,9 @@ def boundary_check(a: int, m: int, flavor: str, z_samples, h: int = 0,
     """
     check_symmetric_args(a, m, flavor)
     _require_float_classes(a, m)
-    z_samples = sorted(float(z) for z in z_samples)
-    if not z_samples or z_samples[0] <= 0:
-        raise InvalidParameterError("z samples must be positive")
+    z_samples = sorted(_positive_z(z) for z in z_samples)
+    if not z_samples:
+        raise InvalidParameterError("need at least one z sample")
     if not isinstance(h, int) or h < 0:
         raise InvalidParameterError("h must be a non-negative integer")
     zmin = z_samples[0]

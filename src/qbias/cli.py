@@ -20,6 +20,7 @@ which names the flag, after the usage line.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -102,12 +103,18 @@ def _names(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses by raising, so a refusal leaves main on the QbiasError path;
-    subparsers take this class too."""
+    """Refuses by raising, so a refusal leaves main on the QbiasError path.
+    Subparsers take this class too and refuse, under their own usage, what they leave unread."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InvalidParameterError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,6 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=12)
 
     return top
+
+
+_parser = functools.cache(build_parser)  # built on the first call to main, then kept
 
 
 def _fmt_exact(v):
@@ -410,7 +420,7 @@ def _emit(args, obj, rows) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         obj, rows, code = _RUNNERS[args.command](args)
         _emit(args, obj, rows)
     except SystemExit:

@@ -152,6 +152,21 @@ def test_boundary_helpers_reject_classes_without_a_closed_form():
             call()
 
 
+def test_boundary_order_refuses_a_modulus_beyond_float_range():
+    # m / float used to raise OverflowError: "int too large to convert to float"
+    with pytest.raises(InvalidParameterError, match="float range"):
+        suggest_boundary_order("01", 10**400, 0.5)
+
+
+def test_boundary_main_term_refuses_a_z_that_overflows_it():
+    # exp(pi^2 m / (12 z)) used to raise OverflowError: "math range error"
+    with pytest.raises(InvalidParameterError, match="z=1e-05"):
+        boundary_main_term(1, 3, "01", 1e-5)
+    for z in (0.0, -1.0, float("nan"), float("inf"), 10**400):
+        with pytest.raises(InvalidParameterError):
+            boundary_main_term(1, 3, "11", z)
+
+
 def test_boundary_ratio_sane_at_moderate_z():
     rep = boundary_check(1, 3, "01", [0.5], h=0)
     (z, v, ref, ratio) = rep.rows[0]

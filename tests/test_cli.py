@@ -221,6 +221,39 @@ def test_help_returns_0_in_process(capsys):
     assert "--y-grid" in capsys.readouterr().out
 
 
+def test_unread_flag_prints_the_leaf_usage():
+    res = run_cli(["verify", "thm1", "--m", "3"])
+    assert res.returncode == 2
+    usage, *_, last = res.stderr.splitlines()
+    assert usage.startswith("usage: qbias verify thm1 ")
+    assert json.loads(last) == {"error": "unrecognized arguments: --m 3",
+                                "type": "InvalidParameterError"}
+
+
+def test_kept_parser_matches_fresh_parsers(monkeypatch):
+    """main keeps one parser across calls: different leaves and a refusal
+    in between give the same bytes and exit codes as a fresh parser each."""
+    argvs = [["oracle", "--a", "1", "--b", "2", "--m", "3", "--n", "6"],
+             ["verify", "thm1", "--m", "3"],
+             ["asymptotics", "constants", "--a", "1", "--m", "5", "--format", "csv"],
+             ["oracle", "--total", "--x", "1/2", "--n", "4"],
+             ["oracle", "--a", "1", "--b", "2", "--m", "3", "--n", "6"]]
+
+    def run_all():
+        seen = []
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                seen.append((main(argv), out.getvalue(), err.getvalue()))
+        return seen
+
+    kept = run_all()
+    monkeypatch.setattr(qbias.cli, "_parser", qbias.cli.build_parser)
+    assert kept == run_all()
+    assert [code for code, _, _ in kept] == [0, 2, 0, 0, 0]
+    assert kept[0] == kept[-1]
+
+
 def test_unexpected_exception_exit_4_and_json_error(monkeypatch, capsys):
     def broken(spec, N):
         raise ZeroDivisionError("defect")
