@@ -1,10 +1,10 @@
 """Exact q-series engine for residue-class partition biases.
 
-Exact truncated power-series arithmetic over integer and rational
-coefficient domains, with every truncated q-product built by one kernel;
-brute-force partition oracles; three independent bias-sequence engines
-with inequality/threshold verifications; and the asymptotic constants and
-predictions attached to the symmetric cases.
+Exact truncated power-series arithmetic on int or rational coefficients,
+with every truncated q-product built by one kernel; brute-force partition
+oracles; three independent bias-sequence engines with inequality/threshold
+verifications; and the asymptotic constants and predictions attached to
+the symmetric cases.
 """
 
 from .asymptotics import (
@@ -69,7 +69,6 @@ from .series import (
     TruncatedSeries,
     evaluate_numeric,
     pochhammer_product,
-    theta_partial,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .biasspec import BiasSpec
 from .engine import (
@@ -23,7 +23,7 @@ from .engine import (
     symmetric_distinct_pair,
 )
 from .kernel import add_shifted, div1, mul1, rung, scaled_weights, ungrade
-from .scalars import INTEGER, InvalidParameterError, nonneg_weight, positive_order, rational
+from .scalars import InvalidParameterError, nonneg_weight, positive_order, rational
 from .series import TruncatedSeries
 
 __all__ = [
@@ -130,7 +130,7 @@ def _expand_f_series(params, N):
     co = list(_prefactor_graded(a, b, m, P, Q, D, N))
     if b - a <= N:
         mul1(co, b - a, -D ** (b - a), N)  # * (1 - q^{b-a}), graded
-    return TruncatedSeries.from_coeffs(*ungrade(co, D))
+    return TruncatedSeries(ungrade(co, D))
 
 
 def _expand_maino(params, N):
@@ -145,7 +145,7 @@ def _expand_maino(params, N):
     first = _ladder_sum(P, Q, D, s, m, a, N)
     second = _ladder_sum(P, Q, D, s, m, a * b, N)
     co = [u - v for u, v in zip(first, second)]
-    return TruncatedSeries.from_coeffs(*ungrade(co, D))
+    return TruncatedSeries(ungrade(co, D))
 
 
 def _expand_chern_corollary(params, N):
@@ -160,7 +160,7 @@ def _expand_chern_corollary(params, N):
         # add q^k (1 - q^k) * denom
         add_shifted(acc, k, denom)
         add_shifted(acc, 2 * k, denom, -1)
-    return TruncatedSeries(INTEGER, N, acc)
+    return TruncatedSeries(acc)
 
 
 def _expand_andrews(params, N):
@@ -194,7 +194,7 @@ def _expand_andrews(params, N):
         return co
 
     co = [u - v for u, v in zip(branch(a_seq, a0), branch(b_seq, b0))]
-    return TruncatedSeries.from_coeffs(*ungrade(co, D))
+    return TruncatedSeries(ungrade(co, D))
 
 
 NONNEG_KINDS = {
@@ -291,15 +291,7 @@ class ScanReport:
     inconclusive: bool
 
     def to_json_obj(self):
-        return {
-            "a": self.a,
-            "b": self.b,
-            "m": self.m,
-            "horizon": self.horizon,
-            "violations": list(self.violations),
-            "threshold": self.threshold,
-            "inconclusive": self.inconclusive,
-        }
+        return asdict(self)
 
 
 # share of the scan horizon, counted from its top, whose violations make a

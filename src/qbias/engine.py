@@ -26,8 +26,8 @@ from functools import lru_cache
 from .biasspec import BiasSpec
 from .kernel import (add_shifted, euler, jacobi, mul_trunc, progression, quotient, rung,
                      scaled_weights, ungrade)
-from .scalars import INTEGER, RATIONAL, InvalidParameterError, nonneg_weight, positive_order
-from .series import TruncatedSeries, theta_partial
+from .scalars import InvalidParameterError, nonneg_weight, positive_order, rational
+from .series import TruncatedSeries
 
 __all__ = [
     "BiasSpec",
@@ -64,7 +64,7 @@ def total_weighted_series(x, y, N: int) -> TruncatedSeries:
     """
     P, Q, D = scaled_weights(nonneg_weight(x), nonneg_weight(y))
     positive_order(N)
-    return TruncatedSeries.from_coeffs(*ungrade(_total_graded(P, Q, D, N), D))
+    return TruncatedSeries(ungrade(_total_graded(P, Q, D, N), D))
 
 
 # -- the double-sum generating-function engine ---------------------------------
@@ -125,7 +125,7 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
             add_shifted(acc, a + b, step)
         prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
         graded[off:] = mul_trunc(prefactor, acc, N - off)
-    return TruncatedSeries.from_coeffs(*ungrade(graded, D))
+    return TruncatedSeries(ungrade(graded, D))
 
 
 # -- the excess-marker dynamic programme ---------------------------------------
@@ -144,9 +144,9 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
     positive_order(N)
     a, b, m, x, y = spec.a, spec.b, spec.m, spec.x, spec.y
     if x.denominator == 1 and y.denominator == 1:
-        domain, x, y = INTEGER, int(x), int(y)
+        x, y, zero = int(x), int(y), 0
     else:
-        domain = RATIONAL
+        zero = rational(0)  # so that an empty sum below is a rational too
     polys = [dict() for _ in range(N + 1)]
     polys[0][0] = 1
     am, bm = a % m, b % m
@@ -169,8 +169,8 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
                             tgt[k] += v
                         else:
                             tgt[k] = v
-    vals = [sum(c for te, c in poly.items() if te > 0) for poly in polys]
-    return TruncatedSeries(domain, N, vals)
+    return TruncatedSeries([sum((c for te, c in poly.items() if te > 0), zero)
+                            for poly in polys])
 
 
 # -- symmetric closed forms -----------------------------------------------------
@@ -210,43 +210,38 @@ def _symmetric_prefactor(a, m, flavor, N):
     return quotient(num, den, N)
 
 
+def _symmetric_sum(c, m, flavor, N):
+    """The sparse single sum of the flavor's closed form at theta argument c,
+    each geometric factor expanded, mod q^{N+1}:
+    01 -> sum_{n>=1} q^{m n(n-1)/2 + cn},
+    10 -> sum_{n>=0} (-1)^n q^{m n(n+3)/2 + c} / (1 - q^{mn+c}) and
+    11 -> 2 sum_{n>=1} q^{cn} / (1 + q^{mn}), the factor 2 in the entries.
+    """
+    co = [0] * (N + 1)
+    n = 0 if flavor == "10" else 1
+    while True:
+        # the n-th term is v q^e / (1 - r q^f); flavor 01 has no such factor
+        if flavor == "01":
+            e, v, r, f = m * n * (n - 1) // 2 + c * n, 1, 1, N + 1
+        elif flavor == "10":
+            e, v, r, f = m * n * (n + 3) // 2 + c, (-1) ** n, 1, m * n + c
+        else:
+            e, v, r, f = c * n, 2, -1, m * n
+        if e > N:
+            return co
+        for k in range(e, N + 1, f):
+            co[k] += v
+            v *= r
+        n += 1
+
+
 def bias_series_symmetric(a: int, m: int, flavor: str, N: int) -> TruncatedSeries:
     """p_n(a, m-a, m; x, y) via the single-sum closed forms, flavors
     01 -> (x,y)=(0,1), 10 -> (1,0), 11 -> (1,1)."""
     check_symmetric_args(a, m, flavor)
     positive_order(N)
     co = _symmetric_prefactor(a, m, flavor, N)
-
-    if flavor == "01":
-        out = mul_trunc(co, theta_partial(m, a, N).coeffs, N)
-        return TruncatedSeries(INTEGER, N, out)
-
-    tail = [0] * (N + 1)
-    if flavor == "10":
-        n = 0
-        while True:
-            base = m * n * (n + 1) // 2 + m * n + a
-            if base > N:
-                break
-            sign = 1 if n % 2 == 0 else -1
-            step = m * n + a
-            for e in range(base, N + 1, step):
-                tail[e] += sign
-            n += 1
-        return TruncatedSeries(INTEGER, N, mul_trunc(co, tail, N))
-
-    # flavor "11"
-    n = 1
-    while a * n <= N:
-        sign = 1
-        e = a * n
-        while e <= N:
-            tail[e] += sign
-            sign = -sign
-            e += m * n
-        n += 1
-    out = [2 * v for v in mul_trunc(co, tail, N)]
-    return TruncatedSeries(INTEGER, N, out)
+    return TruncatedSeries(mul_trunc(co, _symmetric_sum(a, m, flavor, N), N))
 
 
 def symmetric_distinct_pair(a: int, m: int, N: int):
@@ -259,9 +254,8 @@ def symmetric_distinct_pair(a: int, m: int, N: int):
     check_symmetric_args(a, m, "01")
     positive_order(N)
     co = _symmetric_prefactor(a, m, "01", N)
-    fwd = mul_trunc(co, theta_partial(m, a, N).coeffs, N)
-    rev = mul_trunc(co, theta_partial(m, m - a, N).coeffs, N)
-    return (TruncatedSeries(INTEGER, N, fwd), TruncatedSeries(INTEGER, N, rev))
+    return tuple(TruncatedSeries(mul_trunc(co, _symmetric_sum(c, m, "01", N), N))
+                 for c in (a, m - a))
 
 
 # -- comparisons ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Three identities verify formally under monomial substitutions (both sides
 become genuine truncated series and must match coefficient by coefficient);
 two involve q/zeta factors of non-positive q-order under any monomial
 substitution and are checked numerically at real sample points instead,
-with truncation-tail-derived tolerances.
+against one fixed absolute tolerance, ``NUMERIC_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = ["verify_identity", "IdentityReport", "FORMAL_IDENTITIES", "NUMERIC_ID
 
 FORMAL_IDENTITIES = ("jacobi", "fine", "heine")
 NUMERIC_IDENTITIES = ("theta_reciprocal", "kronecker")
+NUMERIC_TOLERANCE = 1e-10  # worst absolute residual a numeric check may leave
 
 
 @dataclass
@@ -213,14 +214,13 @@ _NUMERIC = {
 }
 
 
-def verify_identity(name: str, params: dict, N: int | None = None,
-                    tolerance: float = 1e-10) -> IdentityReport:
+def verify_identity(name: str, params: dict, N: int | None = None) -> IdentityReport:
     """Check one identity and report the worst discrepancy.
 
     Formal identities take monomial parameters (c, s) meaning c*q^s and a
     truncation order N; they pass only on exact coefficient agreement.
     Numeric identities take params={"points": [(q, zeta), ...]} and pass
-    when every absolute residual stays below the tolerance.
+    when every absolute residual stays below ``NUMERIC_TOLERANCE``.
     """
     if name in _FORMAL:
         positive_order(N)
@@ -240,6 +240,6 @@ def verify_identity(name: str, params: dict, N: int | None = None,
             lhs, rhs = _NUMERIC[name](float(q0), float(z0))
             worst = max(worst, abs(lhs - rhs))
         return IdentityReport(
-            name, "numeric", params, None, worst < tolerance, repr(worst),
-            detail=f"max absolute residual over {len(points)} points, tol {tolerance:g}")
+            name, "numeric", params, None, worst < NUMERIC_TOLERANCE, repr(worst),
+            detail=f"max absolute residual over {len(points)} points, tol {NUMERIC_TOLERANCE:g}")
     raise InvalidParameterError(f"unknown identity {name!r}")

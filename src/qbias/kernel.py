@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .scalars import INTEGER, RATIONAL, rational
+from .scalars import rational
 
 
 def mul1(co, e, u, N):
@@ -223,12 +223,12 @@ def scaled_weights(x, y):
 
 
 def ungrade(co, D):
-    """(domain, exact values) of a D^n-graded list: integers when D = 1."""
+    """The exact values of a D^n-graded list: ints when D = 1, else rationals."""
     if D == 1:
-        return INTEGER, list(co)
+        return list(co)
     pw = 1
     vals = []
     for c in co:
         vals.append(rational(c, pw))
         pw *= D
-    return RATIONAL, vals
+    return vals

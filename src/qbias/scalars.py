@@ -1,9 +1,8 @@
 """Exact scalar arithmetic: arbitrary-precision integers and rationals.
 
-All series coefficients are one of two kinds ("domains"):
-
-  * ``integer``  -- Python ints (arbitrary precision),
-  * ``rational`` -- exact rationals, normalised, positive denominator.
+Series coefficients are Python ints (arbitrary precision) or exact
+rationals (normalised, positive denominator); their type follows the
+weights that built them.
 
 gmpy2 is used for rationals when available (the ``qbias[fast]`` extra);
 the pure-Python Fraction fallback is semantically identical, only slower.
@@ -28,12 +27,6 @@ except ImportError:  # gmpy2 is optional: the Fraction fallback is a live path
 
     _RATIONAL_TYPES = (int, Fraction)
 
-INTEGER = "integer"
-RATIONAL = "rational"
-
-DOMAINS = (INTEGER, RATIONAL)
-
-
 class QbiasError(Exception):
     """Base for all package errors."""
 
@@ -43,11 +36,11 @@ class InvalidParameterError(QbiasError, ValueError):
 
 
 class DomainMismatchError(InvalidParameterError):
-    """Operands live in different coefficient domains or orders."""
+    """A coefficient that is not exact, or operands of different orders."""
 
 
 class SingularSeriesError(QbiasError, ZeroDivisionError):
-    """Constant term not invertible in its coefficient domain."""
+    """Constant term not invertible: an int other than +-1, or zero."""
 
 
 class TailBoundError(InvalidParameterError):

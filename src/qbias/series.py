@@ -1,6 +1,6 @@
-"""Exact truncated formal power series over pluggable coefficient domains.
+"""Exact truncated formal power series with int or rational coefficients.
 
-A series is a dense coefficient vector c_0..c_N; every operation is exact
+A series is a dense coefficient list c_0..c_N; every operation is exact
 modulo q^{N+1}.  No floating point enters series arithmetic anywhere; the
 only numeric escape hatch is :func:`evaluate_numeric`.
 """
@@ -9,9 +9,6 @@ from __future__ import annotations
 
 from .kernel import div_sparse, mul_trunc, progression
 from .scalars import (
-    INTEGER,
-    RATIONAL,
-    DOMAINS,
     DomainMismatchError,
     InvalidParameterError,
     SingularSeriesError,
@@ -21,94 +18,59 @@ from .scalars import (
 )
 
 
-def _zero(domain):
-    return rational(0) if domain == RATIONAL else 0
-
-
-def _one(domain):
-    return rational(1) if domain == RATIONAL else 1
-
-
-def _coerce(domain, value):
-    """Bring a scalar into the domain; rejects lossy coercions."""
-    if domain == RATIONAL:
-        if not is_rational_value(value):
-            raise DomainMismatchError(f"non-rational scalar {value!r} in rational series")
-        return rational(value) if isinstance(value, int) else value
-    if isinstance(value, int):
-        return value
-    raise DomainMismatchError(f"non-integer scalar {value!r} in integer series")
-
-
 class TruncatedSeries:
     """Coefficients c_0..c_N of a formal power series, exact mod q^{N+1}."""
 
-    __slots__ = ("domain", "order", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, domain, order, coeffs=None):
-        if domain not in DOMAINS:
-            raise InvalidParameterError(f"unknown domain {domain!r}")
-        self.domain = domain
-        self.order = positive_order(order)
-        if coeffs is None:
-            self.coeffs = [_zero(domain)] * (order + 1)
-        else:
-            if len(coeffs) != order + 1:
-                raise InvalidParameterError(
-                    f"need {order + 1} coefficients, got {len(coeffs)}")
-            self.coeffs = [_coerce(domain, c) for c in coeffs]
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        if not all(map(is_rational_value, coeffs)):
+            raise DomainMismatchError("series coefficients must be ints or exact rationals")
+        positive_order(len(coeffs) - 1)
+        self.coeffs = coeffs
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(domain, order) -> "TruncatedSeries":
-        return TruncatedSeries(domain, order)
+    def zero(order) -> "TruncatedSeries":
+        return TruncatedSeries([0] * (positive_order(order) + 1))
 
     @staticmethod
-    def one(domain, order) -> "TruncatedSeries":
-        s = TruncatedSeries(domain, order)
-        s.coeffs[0] = _one(domain)
-        return s
+    def one(order) -> "TruncatedSeries":
+        return TruncatedSeries([1] + [0] * positive_order(order))
 
     @staticmethod
-    def monomial(domain, order, exponent, coeff=1) -> "TruncatedSeries":
-        s = TruncatedSeries(domain, order)
+    def monomial(order, exponent, coeff=1) -> "TruncatedSeries":
+        co = [0] * (positive_order(order) + 1)
         if not 0 <= exponent <= order:
             raise InvalidParameterError("monomial exponent outside 0..N")
-        s.coeffs[exponent] = _coerce(domain, coeff)
-        return s
-
-    @staticmethod
-    def from_coeffs(domain, coeffs) -> "TruncatedSeries":
-        return TruncatedSeries(domain, len(coeffs) - 1, coeffs)
+        co[exponent] = coeff
+        return TruncatedSeries(co)
 
     # -- basic protocol ---------------------------------------------------
 
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
     def __len__(self) -> int:
-        return self.order + 1
+        return len(self.coeffs)
 
     def __getitem__(self, n):
         return self.coeffs[n]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.domain == other.domain
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:6])
         tail = ", ..." if self.order > 5 else ""
-        return f"TruncatedSeries({self.domain}, N={self.order}, [{head}{tail}])"
+        return f"TruncatedSeries(N={self.order}, [{head}{tail}])"
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
             raise DomainMismatchError("operand is not a TruncatedSeries")
-        if self.domain != other.domain:
-            raise DomainMismatchError(
-                f"domain mismatch: {self.domain} vs {other.domain}")
         if self.order != other.order:
             raise DomainMismatchError(
                 f"truncation order mismatch: {self.order} vs {other.order}")
@@ -117,61 +79,49 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order = self.domain, self.order
-        s.coeffs = [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        return s
+        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Full schoolbook convolution, exact mod q^{N+1}."""
         self._check_compatible(other)
-        return TruncatedSeries(self.domain, self.order,
-                               mul_trunc(self.coeffs, other.coeffs, self.order))
+        return TruncatedSeries(mul_trunc(self.coeffs, other.coeffs, self.order))
 
     def shift(self, e: int) -> "TruncatedSeries":
         """Multiply by q^e (e >= 0), discarding overflow past the order."""
         if e < 0:
             raise InvalidParameterError("negative shift")
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order = self.domain, self.order
-        s.coeffs = [_zero(self.domain)] * min(e, self.order + 1) + self.coeffs[
-            : max(self.order + 1 - e, 0)
-        ]
-        return s
+        n = len(self.coeffs)
+        return TruncatedSeries([0] * min(e, n) + self.coeffs[:max(n - e, 0)])
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse mod q^{N+1}.
 
-        The constant term must be invertible in the domain: +-1 for
-        integer series, nonzero for rational series.
+        The constant term must be invertible: +-1 when it is an int,
+        nonzero when it is a rational.
         """
         c0 = self.coeffs[0]
-        domain = self.domain
-        if domain == INTEGER:
+        if isinstance(c0, int):
             if c0 not in (1, -1):
                 raise SingularSeriesError(
-                    f"integer series with constant term {c0} is not invertible")
+                    f"integer constant term {c0} is not invertible")
             inv0 = c0
         else:
             if not c0:
                 raise SingularSeriesError("zero constant term")
             inv0 = rational(1) / c0
         N = self.order
-        out = [inv0] + [_zero(domain)] * N
-        div_sparse(out, [inv0 * v for v in self.coeffs], N)
-        s = TruncatedSeries.__new__(TruncatedSeries)
-        s.domain, s.order, s.coeffs = domain, N, out
-        return s
+        out = [inv0] + [0 * inv0] * N
+        return TruncatedSeries(div_sparse(out, [inv0 * v for v in self.coeffs], N))
 
 
 # -- q-product builders ------------------------------------------------------
 
 
-def pochhammer_product(c, sign, offset, step, order, domain=None):
+def pochhammer_product(c, sign, offset, step, order):
     """Truncation of the infinite product prod_{j>=0} (1 + sign*c*q^{offset+j*step}).
 
     Only factors with exponent <= order contribute; offset >= 1 so the
-    product stabilises mod q^{N+1}.
+    product stabilises mod q^{N+1}.  The coefficients take c's type.
     """
     if sign not in (1, -1):
         raise InvalidParameterError("sign must be +1 or -1")
@@ -180,29 +130,11 @@ def pochhammer_product(c, sign, offset, step, order, domain=None):
             "offset must be >= 1 (the infinite product needs positive q-order)")
     if not isinstance(step, int) or step < 1:
         raise InvalidParameterError("step must be a positive integer")
-    if domain is None:
-        domain = INTEGER if isinstance(c, int) else RATIONAL
-    out = TruncatedSeries.one(domain, order)
-    u = sign * _coerce(domain, c)
-    out.coeffs = progression(out.coeffs, u, offset, step, 1, 1, order)
-    return out
-
-
-def theta_partial(m, a, order):
-    """Partial theta sum: q^{m*n*(n-1)/2 + a*n} summed over n >= 1, exponent <= N."""
-    if not isinstance(m, int) or m < 1:
-        raise InvalidParameterError("m must be a positive integer")
-    if not isinstance(a, int) or a < 1:
-        raise InvalidParameterError("a must be >= 1")
-    out = TruncatedSeries.zero(INTEGER, order)
-    n = 1
-    while True:
-        e = m * n * (n - 1) // 2 + a * n
-        if e > order:
-            break
-        out.coeffs[e] += 1
-        n += 1
-    return out
+    if not is_rational_value(c):
+        raise DomainMismatchError(f"non-rational scalar {c!r}")
+    zero = 0 * c
+    co = [zero + 1] + [zero] * positive_order(order)
+    return TruncatedSeries(progression(co, sign * c, offset, step, 1, 1, order))
 
 
 # -- numeric evaluation -------------------------------------------------------

@@ -186,7 +186,7 @@ def test_criterion_08_identity_suite():
                 bad.append((name, sub))
     points = [(0.2, 0.5), (0.15, 0.4), (0.1, 0.3)]
     for name in ("theta_reciprocal", "kronecker"):
-        rep = verify_identity(name, {"points": points}, tolerance=1e-10)
+        rep = verify_identity(name, {"points": points})
         if not rep.passed:
             bad.append((name, rep.max_discrepancy))
     ok = _report(8, not bad,

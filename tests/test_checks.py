@@ -72,14 +72,14 @@ def test_maino_matches_series_products():
         co = [rational(0)] * (N + 1)
         co[0] = rational(c0)
         co[e] += rational(ce)
-        return TruncatedSeries("rational", N, co)
+        return TruncatedSeries(co)
 
     for a, b, m, s, x, y in ((1, 2, 4, 3, 1, 0), (2, 3, 3, 1, rational(3, 2), rational(1, 3)),
                              (1, 4, 2, 2, 2, 1), (3, 2, 5, 4, 1, rational(5, 2))):
         branches = []
         for c in (a, a * b):
-            total = TruncatedSeries.zero("rational", N)
-            term = TruncatedSeries.one("rational", N)
+            total = TruncatedSeries.zero(N)
+            term = TruncatedSeries.one(N)
             k = 0
             while c * (k + 1) <= N:
                 if s + k * m <= N:

@@ -163,6 +163,17 @@ def test_compute_bias_methods_agree():
     assert out["gf"] == out["dp"]
 
 
+def test_compute_bias_dp_writes_the_gf_json_for_rational_weights(capsys):
+    # every dp value is a rational here, its empty sum at n = 0 too
+    out = {}
+    for method in ("gf", "dp"):
+        assert main(["compute-bias", "--a", "1", "--b", "2", "--m", "3", "--x", "3/2",
+                     "--y", "1/2", "--N", "20", "--method", method]) == 0
+        out[method] = capsys.readouterr().out
+    assert json.loads(out["dp"])["values"][0] == "0/1"
+    assert out["dp"].replace('"method":"dp"', '"method":"gf"') == out["gf"]
+
+
 def test_symmetric_method_validation():
     res = run_cli(["compute-bias", "--a", "1", "--b", "3", "--m", "3",
                    "--x", "0", "--y", "1", "--N", "10", "--method", "symmetric"])

@@ -14,10 +14,10 @@ from qbias import (
     bias_series_symmetric,
     compare_bias,
     monotonicity_check,
+    nonneg_expand,
     oracle_bias,
     rational,
     symmetric_distinct_pair,
-    theta_partial,
     total_weighted_series,
     TruncatedSeries,
 )
@@ -37,7 +37,7 @@ def naive_double_sum(spec, N):
     """
     x, y = spec.x, spec.y
     a, b, m = spec.a, spec.b, spec.m
-    one = TruncatedSeries.one("rational", N)
+    one = TruncatedSeries.one(N)
 
     def ladder(k):
         acc = one
@@ -47,16 +47,16 @@ def naive_double_sum(spec, N):
             co[0] = x
             if e <= N:
                 co[e] += y
-            acc = acc * TruncatedSeries("rational", N, co)
+            acc = acc * TruncatedSeries(co)
         for j in range(1, k + 1):
             if j * m <= N:
                 fac = [rational(0)] * (N + 1)
                 fac[0] = rational(1)
                 fac[j * m] = rational(-1)
-                acc = acc * TruncatedSeries("rational", N, fac).invert()
+                acc = acc * TruncatedSeries(fac).invert()
         return acc
 
-    total = TruncatedSeries.zero("rational", N)
+    total = TruncatedSeries.zero(N)
     n1 = 1
     while a * n1 <= N:
         un1 = ladder(n1).shift(a * n1)
@@ -71,22 +71,22 @@ def naive_double_sum(spec, N):
         co = [rational(0)] * (N + 1)
         co[0] = rational(1)
         co[e] = y
-        pref = pref * TruncatedSeries("rational", N, co)
+        pref = pref * TruncatedSeries(co)
     for e in range(1, N + 1):
         co = [rational(0)] * (N + 1)
         co[0] = rational(1)
         co[e] = -x
-        pref = pref * TruncatedSeries("rational", N, co).invert()
+        pref = pref * TruncatedSeries(co).invert()
     for e0 in (a, b):
         for e in range(e0, N + 1, m):
             co = [rational(0)] * (N + 1)
             co[0] = rational(1)
             co[e] = -x
-            pref = pref * TruncatedSeries("rational", N, co)
+            pref = pref * TruncatedSeries(co)
             co2 = [rational(0)] * (N + 1)
             co2[0] = rational(1)
             co2[e] = y
-            pref = pref * TruncatedSeries("rational", N, co2).invert()
+            pref = pref * TruncatedSeries(co2).invert()
     return pref * total
 
 
@@ -146,7 +146,7 @@ def dense_double_sum(spec, N):
             add_shifted(acc, 0, suffix)
         prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
         graded = mul_trunc(prefactor, acc, N)
-    return TruncatedSeries.from_coeffs(*ungrade(graded, D))
+    return TruncatedSeries(ungrade(graded, D))
 
 
 @pytest.mark.parametrize("N", [1, 2, 13, 60])
@@ -162,7 +162,8 @@ def test_gf_matches_dense_double_sum(N):
         for xy in weights:
             spec = BiasSpec(*abm, *xy)
             got, want = bias_series_gf(spec, N), dense_double_sum(spec, N)
-            assert (got.domain, got.coeffs) == (want.domain, want.coeffs), spec
+            assert got.coeffs == want.coeffs, spec
+            assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), spec
 
 
 def test_bias_starts_at_q_a():
@@ -214,7 +215,11 @@ def test_symmetric_product_identity():
         pref = pref * pochhammer_product(1, 1, a, m, N).invert()
         pref = pref * pochhammer_product(1, 1, m - a, m, N).invert()
         pref = pref * pochhammer_product(1, -1, m, m, N).invert()
-        lhs = pref * theta_partial(m, a, N)
+        theta = [0] * (N + 1)  # sum_{n>=1} q^{m n(n-1)/2 + a n}
+        for n in range(1, N + 1):
+            if m * n * (n - 1) // 2 + a * n <= N:
+                theta[m * n * (n - 1) // 2 + a * n] = 1
+        lhs = pref * TruncatedSeries(theta)
         assert lhs.coeffs == bias_series_symmetric(a, m, "01", N).coeffs
 
 
@@ -261,6 +266,32 @@ def test_total_weighted_series_values():
     assert total_weighted_series(0, 1, 8).coeffs == [1, 1, 1, 2, 2, 3, 4, 5, 6]
     assert total_weighted_series(1, 1, 6).coeffs == [1, 2, 4, 8, 14, 24, 40]
     assert total_weighted_series(0, 0, 5).coeffs == [1, 0, 0, 0, 0, 0]
+
+
+def test_coefficient_types_follow_the_weights():
+    # integral weights give ints only; weights of denominator 2 give
+    # rationals only, dp's empty sums included
+    N = 40
+    rat = type(rational(1, 2))
+    for want, weights in ((int, [(1, 1), (2, 0), (0, 1)]),
+                          (rat, [(rational(3, 2), rational(1, 2)), (0, rational(1, 2)),
+                                 (1, rational(1, 2))])):
+        for x, y in weights:
+            spec = BiasSpec(1, 2, 3, x, y)
+            got = [bias_series_gf(spec, N), bias_series_dp(spec, N),
+                   total_weighted_series(x, y, N)]
+            if x >= 1:
+                got += [nonneg_expand("f_series", {"a": 2, "b": 3, "m": 5, "x": x, "y": y}, N),
+                        nonneg_expand("maino", {"a": 1, "b": 2, "m": 4, "s": 3,
+                                                "x": x, "y": y}, N),
+                        nonneg_expand("andrews", {"a_seq": [1, 3, 5], "b_seq": [2, 4, 6],
+                                                  "h": 1, "x": x, "y": y}, N)]
+            for series in got:
+                assert {type(v) for v in series.coeffs} == {want}, (x, y, series)
+    got = [nonneg_expand("chern_corollary", {"m": 3, "s": 1}, N)]
+    got += [bias_series_symmetric(1, 3, flavor, N) for flavor in ("01", "10", "11")]
+    for series in got:
+        assert {type(v) for v in series.coeffs} == {int}
 
 
 def test_monotonicity_mod_m():

@@ -6,7 +6,6 @@ import pytest
 
 from qbias import InvalidParameterError, rational, verify_identity
 from qbias.identities import _FORMAL
-from qbias.scalars import RATIONAL
 from qbias.series import TruncatedSeries, pochhammer_product
 
 # (2, 20): the common shift s(s-1)/2 = 190 lies beyond the order N = 150
@@ -94,7 +93,7 @@ def test_unknown_identity():
 
 def _one_minus(c, e, N):
     """1 - c q^e as a rational series mod q^{N+1}."""
-    f = TruncatedSeries.one(RATIONAL, N)
+    f = TruncatedSeries.one(N)
     if e <= N:
         f.coeffs[e] -= rational(c)
     return f
@@ -104,26 +103,26 @@ def _hyper_ref(num, den, z, N, start=None):
     """start * sum_n prod (a;q)_n / prod (b;q)_n z^n, one factor at a time
     through TruncatedSeries * and invert."""
     (cz, sz) = z
-    term = start or TruncatedSeries.one(RATIONAL, N)
+    term = start or TruncatedSeries.one(N)
     out = term
     for n in range(N // sz):
         for c, s in num:
             term = term * _one_minus(c, s + n, N)
         for c, s in den:
             term = term * _one_minus(c, s + n, N).invert()
-        term = term * TruncatedSeries.monomial(RATIONAL, N, sz, cz)
+        term = term * TruncatedSeries.monomial(N, sz, cz)
         out = out + term
     return out.coeffs
 
 
 def _inf(c, s, N):
     """(c q^s; q)_inf as a rational series."""
-    return pochhammer_product(rational(c), -1, s, 1, N, RATIONAL)
+    return pochhammer_product(rational(c), -1, s, 1, N)
 
 
 def _jacobi_ref(p, N):
     c, s = rational(p["c"]), p["s"]
-    lhs = TruncatedSeries.monomial(RATIONAL, N, 0, c**-s)
+    lhs = TruncatedSeries.monomial(N, 0, c**-s)
     for j in range(s):
         lhs = lhs * _one_minus(-c, j, N)
     lhs = lhs * _inf(-1 / c, 1, N) * _inf(-c, s, N) * _inf(1, 1, N)
@@ -149,7 +148,7 @@ def _heine_ref(p, N):
     (ca, sa), (cb, sb), (cg, sg), (cz, sz) = (p[k] for k in ("alpha", "beta", "gamma", "z"))
     cv, cw = rational(cg) / cb, rational(ca) * cb * cz / cg
     lhs = _hyper_ref([(ca, sa), (cb, sb)], [(cg, sg), (1, 1)], (cz, sz), N)
-    inner = TruncatedSeries(RATIONAL, N, _hyper_ref(
+    inner = TruncatedSeries(_hyper_ref(
         [(cw, sa + sb + sz - sg), (cb, sb)], [(cb * cz, sb + sz), (1, 1)], (cv, sg - sb), N))
     rhs = (inner * _inf(cv, sg - sb, N) * _inf(cb * cz, sb + sz, N)
            * _inf(cg, sg, N).invert() * _inf(cz, sz, N).invert())

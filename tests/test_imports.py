@@ -1,5 +1,6 @@
 """Every name a qbias module imports is used there or re-exported in __all__,
-and every kernel function and module-level private name has a caller."""
+every kernel function and module-level private name has a caller, and every
+name the package exports is referred to by one of its modules or listed."""
 
 import ast
 import pathlib
@@ -89,3 +90,40 @@ def test_caller_check_sees_helpers_used_only_by_themselves():
 def test_kernel_functions_and_private_names_have_callers():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert uncalled(sources, "kernel") == []
+
+
+# exports that no other qbias module refers to; ROADMAP item 5 empties this list
+UNREFERENCED_EXPORTS = ["count_distinct", "count_partitions", "digamma_reference",
+                        "enumerate_distinct", "enumerate_partitions", "pochhammer_product",
+                        "tauberian_predict"]
+
+
+def unreferenced_exports(init_source, sources):
+    """Names ``__init__`` imports that no code in ``sources`` (module -> source
+    text) reads by name or attribute; a definition, an import or an
+    ``__all__`` string is no reference."""
+    exported = [alias.asname or alias.name for node in ast.parse(init_source).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(name for name in exported if name not in used)
+
+
+def test_export_audit_sees_names_no_module_refers_to():
+    init = "from .a import called, read, unread, orphan\nfrom .b import defined_only\n"
+    sources = {"a": ("def called():\n    pass\nread = 1\nunread = 2\n"
+                     "def orphan():\n    pass\n"),
+               "b": ("from . import a\nfrom .a import called, orphan\n__all__ = ['orphan']\n"
+                     "def defined_only():\n    return called(), a.read\n")}
+    assert unreferenced_exports(init, sources) == ["defined_only", "orphan", "unread"]
+
+
+def test_every_export_has_a_caller_or_is_listed():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    init = (pathlib.Path(qbias.__file__).parent / "__init__.py").read_text()
+    assert unreferenced_exports(init, sources) == UNREFERENCED_EXPORTS

@@ -114,7 +114,7 @@ def test_mul_trunc_never_packs_fractions():
     b = [0 if n % 2 else Fraction(-3, n + 1) for n in range(N + 1)]
     assert mul_trunc(a, b, N) == naive(a, b, N)
     assert mul_trunc(b, a, N) == naive(a, b, N)
-    s = TruncatedSeries("rational", N, a) * TruncatedSeries("rational", N, b)
+    s = TruncatedSeries(a) * TruncatedSeries(b)
     assert s.coeffs == [rational(v) for v in naive(a, b, N)]
 
 

@@ -8,24 +8,25 @@ from qbias import (
     InvalidParameterError,
     SingularSeriesError,
     TruncatedSeries,
+    bias_series_symmetric,
     count_distinct,
     count_partitions,
     evaluate_numeric,
     pochhammer_product,
     rational,
-    theta_partial,
 )
+from qbias.engine import _symmetric_sum
 from qbias.kernel import progression, rung
 
 N = 24
 
 int_series = st.lists(
     st.integers(min_value=-9, max_value=9), min_size=N + 1, max_size=N + 1
-).map(lambda cs: TruncatedSeries("integer", N, cs))
+).map(TruncatedSeries)
 
 
 def geometric(order):
-    return TruncatedSeries("integer", order, [1] * (order + 1))
+    return TruncatedSeries([1] * (order + 1))
 
 
 # -- construction and structure -------------------------------------------------
@@ -33,32 +34,27 @@ def geometric(order):
 
 def test_order_validation():
     with pytest.raises(InvalidParameterError):
-        TruncatedSeries("integer", 0)
+        TruncatedSeries.zero(0)
     with pytest.raises(InvalidParameterError):
-        TruncatedSeries("integer", -3)
+        TruncatedSeries.zero(-3)
     with pytest.raises(InvalidParameterError):
-        TruncatedSeries("integer", 4, [1, 2, 3])
-    for domain in ("float", "marker"):
-        with pytest.raises(InvalidParameterError):
-            TruncatedSeries(domain, 4)
+        TruncatedSeries([1])
+    assert TruncatedSeries([1, 2, 3]).order == 2
 
 
 def test_domain_and_order_mismatch_rejected():
-    a = TruncatedSeries.one("integer", 5)
-    b = TruncatedSeries.one("rational", 5)
-    c = TruncatedSeries.one("integer", 6)
-    with pytest.raises(DomainMismatchError):
-        a + b
+    a = TruncatedSeries.one(5)
+    c = TruncatedSeries.one(6)
     with pytest.raises(DomainMismatchError):
         a * c
 
 
 def test_integer_domain_rejects_fractions():
+    # series take exact rationals only, never floats or strings
     with pytest.raises(DomainMismatchError):
-        TruncatedSeries("integer", 3, [rational(1, 2), 0, 0, 0])
-    # rational series take exact rationals only, never floats or strings
+        TruncatedSeries([0.5, 0, 1])
     with pytest.raises(DomainMismatchError):
-        TruncatedSeries("rational", 2, [0.5, 0, 1])
+        TruncatedSeries.monomial(3, 1, "1/2")
     for c, sign in ((0.5, 1), ("1/2", 1), ("1/2", -1)):
         with pytest.raises(DomainMismatchError):
             pochhammer_product(c, sign, 1, 1, 5)
@@ -78,25 +74,25 @@ def test_ring_laws(s1, s2, s3):
 
 
 def test_simple_products():
-    one_plus = TruncatedSeries("integer", 3, [1, 1, 0, 0])
-    one_minus = TruncatedSeries("integer", 3, [1, -1, 0, 0])
+    one_plus = TruncatedSeries([1, 1, 0, 0])
+    one_minus = TruncatedSeries([1, -1, 0, 0])
     assert (one_plus * one_minus).coeffs == [1, 0, -1, 0]
     geo = geometric(50)
-    fac = TruncatedSeries("integer", 50, [1, -1] + [0] * 49)
+    fac = TruncatedSeries([1, -1] + [0] * 49)
     assert (geo * fac).coeffs == [1] + [0] * 50
 
 
 @settings(max_examples=30, deadline=None)
 @given(int_series)
 def test_additive_identity(s):
-    assert (s + TruncatedSeries.zero("integer", N)).coeffs == s.coeffs
+    assert (s + TruncatedSeries.zero(N)).coeffs == s.coeffs
 
 
 # -- inversion ----------------------------------------------------------------------
 
 
 def test_invert_geometric():
-    inv = TruncatedSeries("integer", 12, [1, -1] + [0] * 11).invert()
+    inv = TruncatedSeries([1, -1] + [0] * 11).invert()
     assert inv.coeffs == [1] * 13
 
 
@@ -105,9 +101,9 @@ def test_invert_geometric():
 def test_invert_involution_and_two_sided(s):
     cs = list(s.coeffs)
     cs[0] = 1
-    s = TruncatedSeries("integer", N, cs)
+    s = TruncatedSeries(cs)
     inv = s.invert()
-    one = TruncatedSeries.one("integer", N)
+    one = TruncatedSeries.one(N)
     assert (s * inv).coeffs == one.coeffs
     assert (inv * s).coeffs == one.coeffs
     assert inv.invert().coeffs == s.coeffs
@@ -115,11 +111,11 @@ def test_invert_involution_and_two_sided(s):
 
 def test_invert_preconditions():
     with pytest.raises(SingularSeriesError):
-        TruncatedSeries("integer", 4, [2, 0, 0, 0, 0]).invert()
+        TruncatedSeries([2, 0, 0, 0, 0]).invert()
     with pytest.raises(SingularSeriesError):
-        TruncatedSeries("rational", 4).invert()
-    half = TruncatedSeries("rational", 4, [rational(1, 2), 1, 0, 0, 0])
-    assert (half * half.invert()).coeffs == TruncatedSeries.one("rational", 4).coeffs
+        TruncatedSeries.zero(4).invert()
+    half = TruncatedSeries([rational(1, 2), 1, 0, 0, 0])
+    assert (half * half.invert()).coeffs == TruncatedSeries.one(4).coeffs
 
 
 def test_partition_numbers_from_euler_product():
@@ -154,9 +150,9 @@ def test_pochhammer_offset_validation():
 def test_pochhammer_split_range():
     # product over a split index range equals the product over the full range
     full = pochhammer_product(1, -1, 2, 3, 40)
-    head = TruncatedSeries.one("integer", 40)
+    head = TruncatedSeries.one(40)
     for j in range(4):
-        factor = TruncatedSeries("integer", 40, [0] * (2 + 3 * j) + [-1] + [0] * (40 - 2 - 3 * j))
+        factor = TruncatedSeries([0] * (2 + 3 * j) + [-1] + [0] * (40 - 2 - 3 * j))
         factor.coeffs[0] = 1
         head = head * factor
     tail = pochhammer_product(1, -1, 2 + 12, 3, 40)
@@ -165,7 +161,7 @@ def test_pochhammer_split_range():
 
 def test_pochhammer_self_inverse():
     s = pochhammer_product(1, -1, 1, 2, 25)
-    assert (s * s.invert()).coeffs == TruncatedSeries.one("integer", 25).coeffs
+    assert (s * s.invert()).coeffs == TruncatedSeries.one(25).coeffs
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
@@ -178,10 +174,10 @@ def test_qprod_matches_series_products(D):
     graded = [1] + [0] * N
     for u, exponents, power in table:
         graded = progression(graded, u, exponents.start, exponents.step, power, D, N)
-    ref = TruncatedSeries.one("rational", N)
+    ref = TruncatedSeries.one(N)
     for u, exponents, power in table:
         for e in exponents:
-            f = TruncatedSeries.monomial("rational", N, e, rational(u, D))
+            f = TruncatedSeries.monomial(N, e, rational(u, D))
             f.coeffs[0] = rational(1)
             ref = ref * (f if power > 0 else f.invert())
     assert [rational(c, D**n) for n, c in enumerate(graded)] == ref.coeffs
@@ -192,9 +188,9 @@ def test_qprod_matches_series_products(D):
         for P, Q in ((3, 5), (0, 5), (3, 0)):
             for e, f in ((2, 3), (0, 4)):
                 step = rung(graded, P, Q, D, c, e, f, N)
-                num = TruncatedSeries.monomial("rational", N, c + e, rational(Q, D))
+                num = TruncatedSeries.monomial(N, c + e, rational(Q, D))
                 num.coeffs[c] += rational(P, D)
-                den = TruncatedSeries.monomial("rational", N, f, rational(-1))
+                den = TruncatedSeries.monomial(N, f, rational(-1))
                 den.coeffs[0] = rational(1)
                 want = ref * num * den.invert()
                 assert all(type(v) is int for v in step)
@@ -203,13 +199,14 @@ def test_qprod_matches_series_products(D):
 
 
 def test_theta_partial_values():
-    t = theta_partial(2, 1, 30)
-    assert [n for n, c in enumerate(t.coeffs) if c] == [1, 4, 9, 16, 25]
-    t = theta_partial(3, 1, 25)
-    assert [n for n, c in enumerate(t.coeffs) if c] == [1, 5, 12, 22]
-    assert theta_partial(5, 3, 20).coeffs[3] == 1  # lowest term is q^a
+    # the flavor-01 sum of the symmetric closed forms is a partial theta sum
+    t = _symmetric_sum(1, 2, "01", 30)
+    assert [n for n, c in enumerate(t) if c] == [1, 4, 9, 16, 25]
+    t = _symmetric_sum(1, 3, "01", 25)
+    assert [n for n, c in enumerate(t) if c] == [1, 5, 12, 22]
+    assert _symmetric_sum(3, 5, "01", 20)[3] == 1  # lowest term is q^a
     with pytest.raises(InvalidParameterError):
-        theta_partial(2, 0, 10)
+        bias_series_symmetric(0, 2, "01", 10)
 
 
 # -- truncation consistency ----------------------------------------------------------
@@ -219,7 +216,7 @@ def test_theta_partial_values():
 @given(int_series, int_series)
 def test_truncation_consistency(s1, s2):
     def cut(s, order):
-        return TruncatedSeries("integer", order, s.coeffs[: order + 1])
+        return TruncatedSeries(s.coeffs[: order + 1])
 
     for op in (lambda a, b: a + b, lambda a, b: a * b):
         full = cut(op(s1, s2), 10)
@@ -227,7 +224,7 @@ def test_truncation_consistency(s1, s2):
         assert full.coeffs == small.coeffs
     cs = list(s1.coeffs)
     cs[0] = 1
-    u = TruncatedSeries("integer", N, cs)
+    u = TruncatedSeries(cs)
     assert cut(u.invert(), 9).coeffs == cut(u, 9).invert().coeffs
 
 
@@ -235,7 +232,7 @@ def test_truncation_consistency(s1, s2):
 
 
 def test_evaluate_constant():
-    s = TruncatedSeries.one("integer", 5)
+    s = TruncatedSeries.one(5)
     r = evaluate_numeric(s, 0.3)
     assert r.value == 1.0 and not r.tail_alarm
 
