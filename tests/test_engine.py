@@ -23,7 +23,7 @@ from qbias import (
 )
 import qbias.kernel
 import qbias.oracle
-from qbias.engine import _prefactor_graded
+from qbias.engine import _class_factors, _prefactor_graded, _weight_factors
 from qbias.kernel import add_shifted, div1, mul_trunc, scaled_weights, ungrade
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
@@ -152,11 +152,12 @@ def dense_double_sum(spec, N):
 @pytest.mark.parametrize("N", [1, 2, 13, 60])
 def test_gf_matches_dense_double_sum(N):
     # every a != b with m <= 6, plus classes and moduli beyond N; x = 0,
-    # y = 0 and denominators 2 and 3
+    # y = 0, denominators 2 and 3, and weights on both sides of the gf's
+    # final-multiply split
     specs = [(a, b, m) for m in range(2, 7) for a in range(1, m + 1)
              for b in range(1, m + 1) if a != b]
     specs += [(N + 1, 1, N + 2), (1, N + 2, N + 3), (2, 1, N + 4)]
-    weights = [(1, 0), (0, 1), (2, 1), (0, rational(3, 2)), (rational(5, 2), 0),
+    weights = [(1, 0), (0, 1), (2, 1), (1, 2), (0, 3), (0, rational(3, 2)), (rational(5, 2), 0),
                (rational(1, 3), rational(2, 3))]
     for abm in specs:
         for xy in weights:
@@ -164,6 +165,24 @@ def test_gf_matches_dense_double_sum(N):
             got, want = bias_series_gf(spec, N), dense_double_sum(spec, N)
             assert got.coeffs == want.coeffs, spec
             assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), spec
+
+
+@pytest.mark.parametrize("N", [0, 1, 13, 300])
+def test_prefactor_factors_match_dense_multiply(N):
+    # the gf's factor path on a list that holds a series from q^o on, with
+    # N - o as its order, against the cached prefactor times the full list;
+    # D = 1, 2, 3, x = 0 and y = 0, weights on both sides of the gf's split
+    weights = [(1, 1), (0, 1), (1, 0), (2, 1), (0, 3), (3, 0), (rational(3, 2), rational(1, 2)),
+               (0, rational(5, 2)), (rational(4, 3), 0)]
+    classes = [(1, 2, 3), (5, 2, 7)] if N == 300 else [(1, 2, 3), (5, 2, 7), (2, 1, N + 2)]
+    for a, b, m in classes:
+        for xy in weights:
+            P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
+            prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
+            for o in sorted({0, min(N, 1), N // 3, N}):
+                tail = [(-1) ** j * (7 * j + 1) * D ** (o + j) for j in range(N - o + 1)]
+                got = _class_factors(_weight_factors(tail, P, Q, D, N - o), a, b, m, P, Q, D, N - o)
+                assert got == mul_trunc(prefactor, [0] * o + tail, N)[o:], (a, b, m, xy, o)
 
 
 def test_bias_starts_at_q_a():

@@ -192,6 +192,20 @@ def test_progression_matches_dense_factors(N):
             assert {type(c) for c in got} == {Fraction}
 
 
+@pytest.mark.parametrize("D", [1, 2])
+def test_progression_steps_a_tail_like_the_full_list(D):
+    # a list that holds a series from q^o on, taken with N - o as its order,
+    # gives the full-list product from index o on
+    N = 40
+    for o in (0, 1, 6, 23, N):
+        tail = [(-1) ** j * (3 * j + 1) for j in range(N - o + 1)]
+        full = [0] * o + tail
+        for power in (1, -1):
+            for u, s, m in ((3, 1, 1), (-2, 2, 3), (5, 7, 4), (-1, N - o + 1, 2)):
+                got = progression(tail, u, s, m, power, D, N - o)
+                assert got == progression(full, u, s, m, power, D, N)[o:], (o, power, u, s, m)
+
+
 # -- sparse Euler and Jacobi series against dense q-product tables ------------
 
 ORDERS = [1, 7, 200, 1500]
