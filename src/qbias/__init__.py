@@ -57,7 +57,6 @@ from .oracle import (
     oracle_total,
 )
 from .scalars import (
-    DomainMismatchError,
     InvalidParameterError,
     QbiasError,
     SingularSeriesError,

@@ -168,10 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = leaf("scan-conjecture", "finite-horizon threshold scan", classes)
     p.add_argument("--N", type=int, required=True)
-    guard = p.add_mutually_exclusive_group()
-    guard.add_argument("--horizon-guard", dest="horizon_guard", action="store_true",
-                       default=True)
-    guard.add_argument("--no-horizon-guard", dest="horizon_guard", action="store_false")
+    p.add_argument("--no-horizon-guard", dest="horizon_guard", action="store_false")
 
     p = leaf("asymptotics constants", "limiting bias constants", symmetric)
     p.add_argument("--flavor", choices=tuple(FLAVOR_XY), help="default: every flavor")

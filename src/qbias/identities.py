@@ -103,7 +103,7 @@ def _check_jacobi(params, N):
     For s >= 2 both sides are Laurent with lowest exponent -s(s-1)/2; the
     common shift q^{s(s-1)/2} turns them into genuine power series.
     """
-    c, s = _monomial(params.get("zeta", (params.get("c", 1), params.get("s", 1))))
+    c, s = _monomial((params.get("c", 1), params.get("s", 1)))
     _require_formal(s >= 1, "zeta must have positive q-order")
 
     # The factors of (-q/zeta;q)_inf of order <= 0, times q^{s(s-1)/2}, are

@@ -1,31 +1,20 @@
 """Exact scalar arithmetic: arbitrary-precision integers and rationals.
 
-Series coefficients are Python ints (arbitrary precision) or exact
-rationals (normalised, positive denominator); their type follows the
-weights that built them.
-
-gmpy2 is used for rationals when available (the ``qbias[fast]`` extra);
-the pure-Python Fraction fallback is semantically identical, only slower.
+Series coefficients are Python ints (arbitrary precision) or
+``fractions.Fraction`` rationals (normalised, positive denominator); their
+type follows the weights that built them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def rational(p, q=1):
-        """Exact rational p/q, normalised with positive denominator."""
-        return _mpq(p, q)
+def rational(p, q=1):
+    """Exact rational p/q, normalised with positive denominator; a lone p
+    may also be a "p/q" string."""
+    return Fraction(p) if q == 1 else Fraction(p, q)
 
-    _RATIONAL_TYPES = (int, _mpq, Fraction)
-except ImportError:  # gmpy2 is optional: the Fraction fallback is a live path
-    def rational(p, q=1):
-        """Exact rational p/q; like mpq, a lone p may be a "p/q" string."""
-        return Fraction(p) if q == 1 else Fraction(p, q)
-
-    _RATIONAL_TYPES = (int, Fraction)
 
 class QbiasError(Exception):
     """Base for all package errors."""
@@ -33,10 +22,6 @@ class QbiasError(Exception):
 
 class InvalidParameterError(QbiasError, ValueError):
     """Rejected input: parameter outside an operation's precondition."""
-
-
-class DomainMismatchError(InvalidParameterError):
-    """A coefficient that is not exact, or operands of different orders."""
 
 
 class SingularSeriesError(QbiasError, ZeroDivisionError):
@@ -48,7 +33,7 @@ class TailBoundError(InvalidParameterError):
 
 
 def is_rational_value(v) -> bool:
-    return isinstance(v, _RATIONAL_TYPES)
+    return isinstance(v, (int, Fraction))
 
 
 def parse_rational(text: str):

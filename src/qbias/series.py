@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from .kernel import div_sparse, mul_trunc, progression
 from .scalars import (
-    DomainMismatchError,
     InvalidParameterError,
     SingularSeriesError,
     is_rational_value,
@@ -26,7 +25,7 @@ class TruncatedSeries:
     def __init__(self, coeffs):
         coeffs = list(coeffs)
         if not all(map(is_rational_value, coeffs)):
-            raise DomainMismatchError("series coefficients must be ints or exact rationals")
+            raise InvalidParameterError("series coefficients must be ints or exact rationals")
         positive_order(len(coeffs) - 1)
         self.coeffs = coeffs
 
@@ -70,9 +69,9 @@ class TruncatedSeries:
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):
-            raise DomainMismatchError("operand is not a TruncatedSeries")
+            raise InvalidParameterError("operand is not a TruncatedSeries")
         if self.order != other.order:
-            raise DomainMismatchError(
+            raise InvalidParameterError(
                 f"truncation order mismatch: {self.order} vs {other.order}")
 
     # -- ring operations ---------------------------------------------------
@@ -131,7 +130,7 @@ def pochhammer_product(c, sign, offset, step, order):
     if not isinstance(step, int) or step < 1:
         raise InvalidParameterError("step must be a positive integer")
     if not is_rational_value(c):
-        raise DomainMismatchError(f"non-rational scalar {c!r}")
+        raise InvalidParameterError(f"non-rational scalar {c!r}")
     zero = 0 * c
     co = [zero + 1] + [zero] * positive_order(order)
     return TruncatedSeries(progression(co, sign * c, offset, step, 1, 1, order))

@@ -87,7 +87,10 @@ def test_invalid_config_exit_2_and_json_error():
             ("--m", ["verify", "thm1", "--m", "3", "--N", "10"]),  # abbreviates --m-max
             ("--x", ["compute-bias", "--a", "1", "--b", "2", "--m", "3", "--N", "5",
                      "--x", "1.5"]),
-            ("--x-grid", ["verify", "thm1", "--x-grid", "1,abc"])):
+            ("--x-grid", ["verify", "thm1", "--x-grid", "1,abc"]),
+            # the guard is on by default; only --no-horizon-guard is a flag
+            ("--horizon-guard", ["scan-conjecture", "--a", "1", "--b", "2", "--m", "3",
+                                 "--N", "120", "--horizon-guard"])):
         res = run_cli(argv)
         assert res.returncode == 2, argv
         err = json.loads(res.stderr.splitlines()[-1])

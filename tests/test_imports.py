@@ -1,6 +1,7 @@
 """Every name a qbias module imports is used there or re-exported in __all__,
-every kernel function and module-level private name has a caller, and every
-name the package exports is referred to by one of its modules or listed."""
+no module forks on an optional import, every kernel function and module-level
+private name has a caller, and every name the package exports is referred to
+by one of its modules or listed."""
 
 import ast
 import pathlib
@@ -44,6 +45,31 @@ def test_checker_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def import_error_handlers(source):
+    """Line numbers of ``except`` clauses that catch ImportError or
+    ModuleNotFoundError, alone or in a tuple: an optional-import fork."""
+    names = {"ImportError", "ModuleNotFoundError"}
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id in names for t in caught):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_fork_check_sees_import_error_handlers():
+    source = ("try:\n    import fast\nexcept ImportError:\n    fast = None\n"
+              "try:\n    pass\nexcept (KeyError, ModuleNotFoundError):\n    pass\n"
+              "try:\n    pass\nexcept ValueError:\n    pass\n")
+    assert import_error_handlers(source) == [3, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_optional_import_fork(path):
+    assert import_error_handlers(path.read_text()) == [], path.name
 
 
 def _defined(node):
