@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .biasspec import BiasSpec
@@ -373,6 +372,9 @@ def _run_sweep(name, tasks, N, jobs, witnesses=None) -> SweepReport:
     elif jobs < 1:
         raise InvalidParameterError(f"jobs must be a positive integer, not {jobs!r}")
     if jobs > 1 and len(tasks) > 1:
+        # imported here: multiprocessing costs every CLI start 20-25 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_compare_worker, tasks, chunksize=8))
     else:

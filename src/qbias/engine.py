@@ -159,11 +159,15 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
     """p_n(a,b,m;x,y) via the excess-marker product; independent of the
     double-sum engine.
 
-    polys[n] maps each power of the excess marker t, which tracks (parts in
-    class a) - (parts in class b), to its weighted pair count at q^n.  Every
-    part size d contributes the factor (1 + y w q^d)/(1 - x w q^d) with
-    w = t, 1/t or 1 according to the residue class of d; the bias sums the
-    positive t-powers.
+    The excess marker t tracks (parts in class a) - (parts in class b).
+    Every part size d contributes the factor (1 + y w q^d)/(1 - x w q^d)
+    with w = t, 1/t or 1 according to the residue class of d.  A size
+    outside classes a and b has w = 1 and moves no excess, so those sizes
+    fold into the plain coefficient list ``free``.  Only the marked sizes
+    d = a, b (mod m) update polys[n], which maps each power of t to its
+    weighted pair count at q^n.  The bias is ``free`` times the sums of the
+    positive t-powers, a convolution over the nonzero entries of ``free``;
+    for m = 2 every size is marked and ``free`` is 1.
     """
     positive_order(N)
     a, b, m, x, y = spec.a, spec.b, spec.m, spec.x, spec.y
@@ -171,6 +175,7 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
         x, y, zero = int(x), int(y), 0
     else:
         zero = rational(0)  # so that an empty sum below is a rational too
+    free = [1] + [0] * N
     polys = [dict() for _ in range(N + 1)]
     polys[0][0] = 1
     am, bm = a % m, b % m
@@ -181,6 +186,10 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
         # updated; y-parts are distinct, so descending n reads only old rows
         for w, rows in ((x, range(d, N + 1)), (y, range(N, d - 1, -1))):
             if not w:
+                continue
+            if not e:
+                for n in rows:
+                    free[n] += w * free[n - d]
                 continue
             for n in rows:
                 src = polys[n - d]
@@ -193,8 +202,13 @@ def bias_series_dp(spec: BiasSpec, N: int) -> TruncatedSeries:
                             tgt[k] += v
                         else:
                             tgt[k] = v
-    return TruncatedSeries([sum((c for te, c in poly.items() if te > 0), zero)
-                            for poly in polys])
+    pos = [sum((c for te, c in poly.items() if te > 0), zero) for poly in polys]
+    out = [zero] * (N + 1)
+    for k, f in enumerate(free):
+        if f:
+            for n in range(k, N + 1):
+                out[n] += f * pos[n - k]
+    return TruncatedSeries(out)
 
 
 # -- symmetric closed forms -----------------------------------------------------

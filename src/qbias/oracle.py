@@ -6,8 +6,10 @@ engines are tested against.  Each pair sum is built from weight-free
 histograms of P(j) and D(j) by (excess, number of parts); these and the
 resulting terms, counts of pairs by their two part numbers, are memoised
 per residue classes, so a spec only weighs cached terms by its x and y.
-Everything is still pure enumeration, for correctness at desk scale, not
-speed.
+It weighs them over one common denominator, a power of each weight's
+denominator, so the sum is taken in Python ints and one rational is formed
+at the end.  Everything is still pure enumeration, for correctness at desk
+scale, not speed.
 """
 
 from __future__ import annotations
@@ -139,11 +141,19 @@ def _pair_terms(n: int, classes):
 
 
 def _evaluate(terms, x, y):
-    """Exact sum of count * x^i * y^j over the terms; a rational even when empty."""
-    total = rational(0)
-    for (i, j), c in terms:
-        total += c * x**i * y**j
-    return total
+    """Exact sum of count * x^i * y^j over the terms; a rational even when empty.
+
+    With x = xn/xd and y = yn/yd, every term is weighed over the common
+    denominator xd^I * yd^J, I and J the largest part counts among the
+    terms, so the numerator is a sum of Python ints and one rational is
+    formed at the end.
+    """
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    I = max((i for (i, _), _ in terms), default=0)
+    J = max((j for (_, j), _ in terms), default=0)
+    xs = [xn**i * xd**(I - i) for i in range(I + 1)]
+    ys = [yn**j * yd**(J - j) for j in range(J + 1)]
+    return rational(sum(c * xs[i] * ys[j] for (i, j), c in terms), xd**I * yd**J)
 
 
 def oracle_bias(spec: BiasSpec, n: int):

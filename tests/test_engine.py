@@ -280,6 +280,60 @@ def test_dp_and_oracle_do_not_use_the_kernel():
         assert not pattern.search(inspect.getsource(obj)), obj
 
 
+def unfactored_dp(spec, N):
+    """The excess-marker product with every part size in the marker dicts.
+
+    Reference for ``bias_series_dp``, which folds the sizes outside classes
+    a and b into a plain list: polys[n] maps each power of the excess
+    marker t to its weighted pair count at q^n, and every size d multiplies
+    in (1 + y w q^d)/(1 - x w q^d) with w = t, 1/t or 1.
+    """
+    a, b, m, x, y = spec.a, spec.b, spec.m, spec.x, spec.y
+    if x.denominator == 1 and y.denominator == 1:
+        x, y, zero = int(x), int(y), 0
+    else:
+        zero = rational(0)
+    polys = [dict() for _ in range(N + 1)]
+    polys[0][0] = 1
+    am, bm = a % m, b % m
+    for d in range(1, N + 1):
+        r = d % m
+        e = 1 if r == am else (-1 if r == bm else 0)
+        for w, rows in ((x, range(d, N + 1)), (y, range(N, d - 1, -1))):
+            if not w:
+                continue
+            for n in rows:
+                src = polys[n - d]
+                if src:
+                    tgt = polys[n]
+                    for te, c in src.items():
+                        k = te + e
+                        v = w * c
+                        if k in tgt:
+                            tgt[k] += v
+                        else:
+                            tgt[k] = v
+    return [sum((c for te, c in poly.items() if te > 0), zero) for poly in polys]
+
+
+@pytest.mark.parametrize("xy", [(1, 0), (0, 1), (1, 1), (2, 1), (0, rational(3, 2)),
+                                (rational(3, 2), rational(1, 2)),
+                                (rational(2, 3), rational(5, 7))])
+def test_dp_matches_unfactored_reference(xy):
+    # every a != b with m <= 7; for m = 2 every size is marked, for m >= 3
+    # the free sizes meet the marked ones in the final convolution
+    N = 40
+    for m in range(2, 8):
+        for a in range(1, m + 1):
+            for b in range(1, m + 1):
+                if a != b:
+                    spec = BiasSpec(a, b, m, *xy)
+                    want = unfactored_dp(spec, N)
+                    got = bias_series_dp(spec, N).coeffs
+                    assert got == want, spec
+                    assert [type(v) for v in got] == [type(v) for v in want], spec
+
+
 def test_total_weighted_series_values():
     assert total_weighted_series(1, 0, 10).coeffs == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert total_weighted_series(0, 1, 8).coeffs == [1, 1, 1, 2, 2, 3, 4, 5, 6]

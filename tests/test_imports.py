@@ -4,7 +4,10 @@ private name has a caller, and every name the package exports is referred to
 by one of its modules or listed."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -153,3 +156,17 @@ def test_every_export_has_a_caller_or_is_listed():
     sources = {p.stem: p.read_text() for p in MODULES}
     init = (pathlib.Path(qbias.__file__).parent / "__init__.py").read_text()
     assert unreferenced_exports(init, sources) == UNREFERENCED_EXPORTS
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the sweep imports its pool when it starts one, so a CLI start that
+    # never sweeps in parallel does not pay for multiprocessing
+    code = ("import sys, qbias.cli\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+            "             if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(pathlib.Path(qbias.__file__).parent.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -87,7 +87,10 @@ def test_oracle_total_specialisations():
 
 def test_bias_landmarks():
     s = BiasSpec(1, 2, 2, 1, 0)
-    assert oracle_bias(s, 0) == 0
+    # at n = 0 only the empty pair exists, with excess 0: a rational 0
+    for spec in (s, BiasSpec(1, 2, 3, rational(2, 3), rational(5, 7))):
+        zero = oracle_bias(spec, 0)
+        assert zero == 0 and type(zero) is type(rational(0))
     assert oracle_bias(s, 2) == 1
     assert oracle_bias(s.swapped(), 2) == 1  # equality at n = 2
     assert oracle_bias(s, 3) == 2
@@ -134,7 +137,9 @@ def _direct_bias(a, b, m, x, y, n):
 _classes = st.integers(min_value=2, max_value=5).flatmap(
     lambda m: st.tuples(st.integers(1, m), st.integers(1, m), st.just(m)).filter(
         lambda t: t[0] != t[1]))
-_weight = st.sampled_from([0, 1, 2, rational(1, 2), rational(3, 2)])
+# weights of different denominators exercise the oracle's common denominator
+_weight = st.sampled_from([0, 1, 2, rational(1, 2), rational(3, 2), rational(2, 3),
+                           rational(5, 7)])
 _case = st.tuples(_classes, _weight, _weight, st.integers(min_value=0, max_value=10)).filter(
     lambda c: c[1] or c[2])
 
@@ -143,6 +148,8 @@ _case = st.tuples(_classes, _weight, _weight, st.integers(min_value=0, max_value
 @given(st.lists(_case, min_size=1, max_size=4))
 @example([((3, 1, 3), rational(3, 2), 0, 10), ((1, 3, 3), 0, rational(3, 2), 10),
           ((3, 1, 3), 1, 1, 9)])
+@example([((1, 2, 3), rational(2, 3), rational(5, 7), 10),
+          ((2, 1, 4), rational(5, 7), rational(3, 2), 9)])
 def test_oracle_matches_direct_pair_sum(cases):
     # several specs per draw, so later calls read histograms and pair
     # terms memoised by earlier ones (in this draw or an earlier draw)
