@@ -14,11 +14,12 @@ from dataclasses import asdict, dataclass, field
 
 from .biasspec import BiasSpec
 from .engine import (
+    _gf_graded,
+    _gf_ladder,
     _prefactor_graded,
     bias_series_dp,
     bias_series_gf,
     compare_bias,
-    monotonicity_check,
     symmetric_distinct_pair,
 )
 from .kernel import add_shifted, div1, mul1, rung, scaled_weights, ungrade
@@ -311,12 +312,9 @@ def conjecture_scan(a: int, b: int, m: int, N: int) -> ScanReport:
         raise InvalidParameterError("the scan needs m >= 3")
     if b == m - a and 2 * a < m:
         fwd, rev = symmetric_distinct_pair(a, m, N)
-        d_ab, d_ba = fwd.coeffs, rev.coeffs
+        violations = [n for n, (p, q) in enumerate(zip(fwd.coeffs, rev.coeffs)) if p < q]
     else:
-        spec = BiasSpec(a, b, m, 0, 1)
-        d_ab = bias_series_gf(spec, N).coeffs
-        d_ba = bias_series_gf(spec.swapped(), N).coeffs
-    violations = [n for n in range(N + 1) if d_ab[n] < d_ba[n]]
+        violations = compare_bias(BiasSpec(a, b, m, 0, 1), N).violations
     threshold = violations[-1] + 1 if violations else 0
     cut = N - int(_GUARD_FRACTION * N)
     inconclusive = any(n >= cut for n in violations)
@@ -351,57 +349,100 @@ class SweepReport:
         }
 
 
-def _compare_worker(task):
-    spec, N = task
-    report = compare_bias(spec, N)
-    mono_fwd = monotonicity_check(report.values, spec.m)[0]
-    mono_rev = monotonicity_check(report.swapped_values, spec.m)[0]
-    return spec.label(), report.violations, mono_fwd and mono_rev
+def _monotone_graded(g, m, D):
+    """c_{n+m} >= c_n for every n, read on the D^n-graded list g of the c_n."""
+    step = D**m
+    return all(u >= step * v for u, v in zip(g[m:], g))
 
 
-def _run_sweep(name, tasks, N, jobs, witnesses=None) -> SweepReport:
-    """Run every comparison task and collect the violations into a report.
+def _sweep_group(task):
+    """Violations and step-m monotonicity of every ordered pair (a, b) of
+    one (m, x, y) group, as {(a, b): (indices where p_ab < p_ba, both
+    sequences monotone)}.
 
-    A sweep with no task would pass without comparing anything, so it is
-    rejected as an invalid configuration instead.
+    Each class's ladder is built once and serves all its partners, and it
+    is used up before the next class's is built.  A pair and its swap come
+    from Horner passes over two different ladders, so every comparison
+    still rests on two independent runs.  The sequences stay D^n-graded
+    ints, which compare at each n as their values do.
     """
-    if not tasks:
+    m, x, y, pairs, N = task
+    P, Q, D = scaled_weights(x, y)
+    partners = {}
+    for a, b in pairs:
+        partners.setdefault(a, []).append(b)
+        partners.setdefault(b, []).append(a)
+    graded, out = {}, {}
+    for c in sorted(partners):
+        others = partners[c]
+        outputs = _gf_graded(_gf_ladder(c, m, P, Q, D, N), c, others, m, P, Q, D, N)
+        graded.update(((c, d), g) for d, g in zip(others, outputs))
+        for a, b in pairs:
+            if max(a, b) == c:  # both orders are in now
+                fwd, rev = graded[a, b], graded[b, a]
+                out[a, b] = ([n for n, (p, q) in enumerate(zip(fwd, rev)) if p < q],
+                             _monotone_graded(fwd, m, D) and _monotone_graded(rev, m, D))
+        graded = {key: g for key, g in graded.items() if max(key) > c}
+    return out
+
+
+def _run_sweep(name, specs, N, jobs, witnesses=None) -> SweepReport:
+    """Compare every spec with its swap and collect the violations into a
+    report, in the order of ``specs``.
+
+    The specs run in groups that share (m, x, y), one :func:`_sweep_group`
+    each, so that a class's ladder is built once per group; a pool gets
+    the groups largest first, one at a time.  A sweep with no spec would
+    pass without comparing anything, so it is rejected as an invalid
+    configuration instead.
+    """
+    if not specs:
         raise InvalidParameterError(f"the {name} sweep has no comparison to run")
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise InvalidParameterError(f"jobs must be a positive integer, not {jobs!r}")
+    groups = {}
+    for spec in specs:  # a repeated grid value repeats a spec, run once
+        groups.setdefault((spec.m, spec.x, spec.y), {})[spec.a, spec.b] = None
+    tasks = sorted((key + (list(pairs), N) for key, pairs in groups.items()),
+                   key=lambda task: len(task[3]), reverse=True)
     if jobs > 1 and len(tasks) > 1:
         # imported here: multiprocessing costs every CLI start 20-25 ms
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_compare_worker, tasks, chunksize=8))
+            results = list(pool.map(_sweep_group, tasks, chunksize=1))
     else:
-        results = [_compare_worker(t) for t in tasks]
-    report = SweepReport(name, N, len(tasks), witnesses=witnesses or {})
-    for label, violations, mono in results:
+        results = map(_sweep_group, tasks)
+    verdicts = {}
+    for (m, x, y, _, _), result in zip(tasks, results):
+        for (a, b), verdict in result.items():
+            verdicts[a, b, m, x, y] = verdict
+    report = SweepReport(name, N, len(specs), witnesses=witnesses or {})
+    for spec in specs:
+        violations, mono = verdicts[spec.a, spec.b, spec.m, spec.x, spec.y]
         if violations:
-            report.violations.append((label, violations))
+            report.violations.append((spec.label(), violations))
         if not mono:
-            report.violations.append((label, ["monotonicity"]))
+            report.violations.append((spec.label(), ["monotonicity"]))
     return report
 
 
 def dominance_sweep(m_max: int, xs, ys, N: int, jobs: int | None = None) -> SweepReport:
     """Residue dominance over every ordered pair a < b <= m <= m_max and
     the given weight grids; weights x must satisfy x >= 1."""
-    tasks = [(BiasSpec(a, b, m, x, y), N) for m in range(1, m_max + 1)
+    specs = [BiasSpec(a, b, m, x, y) for m in range(1, m_max + 1)
              for b in range(2, m + 1) for a in range(1, b) for x in xs for y in ys]
-    if any(spec.x < 1 for spec, _ in tasks):
+    if any(spec.x < 1 for spec in specs):
         raise InvalidParameterError("dominance grid needs x >= 1")
-    return _run_sweep("thm1", tasks, N, jobs)
+    return _run_sweep("thm1", specs, N, jobs)
 
 
 def distinct_dominance_sweep(m_max: int, xs, N: int, jobs: int | None = None) -> SweepReport:
     """Witnessed dominance with y = 1: every triple (a, b, m) admitting a
     doubling-orbit witness is checked over the x grid."""
-    tasks = []
+    specs = []
     witnesses = {}
     for m in range(1, m_max + 1):
         for b in range(2, m + 1):
@@ -410,8 +451,8 @@ def distinct_dominance_sweep(m_max: int, xs, N: int, jobs: int | None = None) ->
                 if k is None:
                     continue
                 witnesses[f"({a},{b},{m})"] = k
-                tasks += [(BiasSpec(a, b, m, x, 1), N) for x in xs]
-    return _run_sweep("thm2", tasks, N, jobs, witnesses)
+                specs += [BiasSpec(a, b, m, x, 1) for x in xs]
+    return _run_sweep("thm2", specs, N, jobs, witnesses)
 
 
 # -- cross-method agreement --------------------------------------------------------

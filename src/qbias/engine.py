@@ -94,20 +94,76 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
     return tuple(_class_factors(_total_graded(P, Q, D, N), lo, hi, m, P, Q, D, N))
 
 
+def _gf_ladder(a, m, P, Q, D, N):
+    """The upward half of :func:`bias_series_gf` for class a: the rows
+    A_k for k >= 1 as (offset, tail) pairs, the same for every partner
+    class b."""
+    rows = [(0, [1] + [0] * N)]  # (offset, tail): A_k from its lowest term on
+    while True:
+        off, tail = rows[-1]
+        k = len(rows)
+        z = 0 if P else (k - 1) * m  # with x = 0, A_k starts y q^{(k-1)m} higher
+        tail = rung(tail, P, Q, D, a + z, (k - 1) * m - z, k * m, N - off)
+        if not any(tail):  # the first row that vanishes
+            break
+        rows.append((off + a + z, tail))
+    del rows[0]  # the sum starts at n1 = 1
+    return rows
+
+
+def _gf_graded(rows, a, partners, m, P, Q, D, N):
+    """The downward half of :func:`bias_series_gf` on class a's rows: one
+    Horner pass per partner class b, prefactor included, each giving
+    p_n(a,b,m;x,y) D^n for n <= N.  The passes go down together and share
+    the suffix sums, which are built in the rows' place as they are read,
+    so the rows are used up."""
+    if not rows:
+        return [[0] * (N + 1) for _ in partners]
+    off, suffix = rows.pop()
+    accs = [suffix] * len(partners)
+    for n in range(len(rows) - 1, -1, -1):
+        z = 0 if P else n * m
+        top = off
+        off, tail = rows.pop()  # row n + 1 becomes the suffix S_{n+1}
+        add_shifted(tail, top - off, suffix)
+        suffix = tail
+        for i, b in enumerate(partners):
+            step = rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, N - top)
+            accs[i] = list(suffix)
+            add_shifted(accs[i], top - off + b + z, step)
+    out = []
+    for b, acc in zip(partners, accs):
+        graded = [0] * (N + 1)
+        if D == 1 and P <= 1:  # narrow ints; see bias_series_gf
+            prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
+            graded[off:] = mul_trunc(prefactor, acc, N - off)
+        else:
+            graded[off:] = _class_factors(_weight_factors(acc, P, Q, D, N - off),
+                                          a, b, m, P, Q, D, N - off)
+        out.append(graded)
+    return out
+
+
 def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     """p_n(a,b,m;x,y) for n <= N via the restricted double-sum form.
 
     The sum over index pairs n1 > n >= 0 of q^{a*n1 + b*n} L_{n1} L_n, with
     the weight ladder L_k = prod_{j<k}(x + y q^{jm}) / (q^m;q^m)_k, is taken
-    in two passes of one :func:`rung` step each.  Upward, the rows
-    A_k = q^{ak} L_k are built until the first row that vanishes mod
-    q^{N+1}; a row's lowest term is x^k q^{ak}, or y^k q^{ak + m k(k-1)/2}
-    when x = 0, so every later row vanishes too.  Downward, Horner's rule
+    in two passes of one :func:`rung` step each.  Upward,
+    :func:`_gf_ladder` builds the rows A_k = q^{ak} L_k until the first row
+    that vanishes mod q^{N+1}; a row's lowest term is x^k q^{ak}, or
+    y^k q^{ak + m k(k-1)/2} when x = 0, so every later row vanishes too.
+    Downward, :func:`_gf_graded` applies Horner's rule
     T_n = S_{n+1} + q^b (x + y q^{nm}) / (1 - q^{(n+1)m}) T_{n+1}, with the
-    suffix S_{n+1} = sum_{k>n} A_k, gives the sum as T_0.  Each list is kept
-    as an (offset, tail) pair from its lowest term on: A_k from that power,
-    S_{n+1} and T_n from the lowest power of A_{n+1}, so a step touches the
-    support only.
+    suffix S_{n+1} = sum_{k>n} A_k, which gives the sum as T_0.  Each list
+    is kept as an (offset, tail) pair from its lowest term on: A_k from
+    that power, S_{n+1} and T_n from the lowest power of A_{n+1}, so a step
+    touches the support only.  The rows do not depend on b, so a sweep
+    builds them once per class and runs the downward passes of all its
+    partners together.  Row n+1 turns into S_{n+1} only when the passes
+    reach it, and is then dropped: A_k is nonzero only at q^{ak + jm},
+    while the suffix sums fill every residue, so holding them all would
+    take about m times the ints of the rows.
 
     T_0 is then multiplied by the product prefactor.  With x in {0, 1} and
     y an integer the lists hold narrow ints, and the cached prefactor times
@@ -118,37 +174,7 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     positive_order(N)
     a, b, m = spec.a, spec.b, spec.m
     P, Q, D = scaled_weights(spec.x, spec.y)
-
-    rows = [(0, [1] + [0] * N)]  # (offset, tail): A_k from its lowest term on
-    while True:
-        off, tail = rows[-1]
-        k = len(rows)
-        z = 0 if P else (k - 1) * m  # with x = 0, A_k starts y q^{(k-1)m} higher
-        tail = rung(tail, P, Q, D, a + z, (k - 1) * m - z, k * m, N - off)
-        if not any(tail):  # the first row that vanishes
-            break
-        rows.append((off + a + z, tail))
-    graded = [0] * (N + 1)
-    if len(rows) > 1:
-        # the suffix and T_n both start at the offset of row n+1; row n+1
-        # leaves rows to become the suffix, so no old suffix stays
-        off, suffix = rows.pop()
-        acc = suffix
-        for n in range(len(rows) - 2, -1, -1):
-            z = 0 if P else n * m
-            step = rung(acc, P, Q, D, b + z, n * m - z, (n + 1) * m, N - off)
-            top = off
-            off, tail = rows.pop()  # row n + 1
-            add_shifted(tail, top - off, suffix)
-            suffix = tail
-            acc = list(suffix)
-            add_shifted(acc, top - off + b + z, step)
-        if D == 1 and P <= 1:  # narrow ints; see the docstring
-            prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
-            graded[off:] = mul_trunc(prefactor, acc, N - off)
-        else:
-            graded[off:] = _class_factors(_weight_factors(acc, P, Q, D, N - off),
-                                          a, b, m, P, Q, D, N - off)
+    [graded] = _gf_graded(_gf_ladder(a, m, P, Q, D, N), a, [b], m, P, Q, D, N)
     return TruncatedSeries(ungrade(graded, D))
 
 

@@ -3,20 +3,27 @@
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qbias import (
+    BiasSpec,
     InvalidParameterError,
+    compare_bias,
     conjecture_scan,
     cross_check_matrix,
     distinct_dominance_sweep,
     dominance_sweep,
     doubling_orbit_witness,
+    monotonicity_check,
     nonneg_expand,
     nonneg_suite,
     random_nonneg_params,
     rational,
+    SweepReport,
     TruncatedSeries,
 )
+from qbias.checks import _monotone_graded, _run_sweep, _sweep_group
+from qbias.kernel import ungrade
 
 
 def test_witness_examples():
@@ -184,6 +191,91 @@ def test_distinct_dominance_sweep_small():
     rep = distinct_dominance_sweep(6, [0, 1], 60, jobs=1)
     assert rep.passed
     assert "(1,3,4)" in rep.witnesses and rep.witnesses["(1,3,4)"] == 2
+
+
+def reference_sweep(name, specs, N, witnesses=None):
+    """The per-pair sweep report: one compare_bias and two
+    monotonicity_check calls on ungraded values for every spec."""
+    report = SweepReport(name, N, len(specs), witnesses=witnesses or {})
+    for spec in specs:
+        rep = compare_bias(spec, N)
+        if rep.violations:
+            report.violations.append((spec.label(), rep.violations))
+        if not (monotonicity_check(rep.values, spec.m)[0]
+                and monotonicity_check(rep.swapped_values, spec.m)[0]):
+            report.violations.append((spec.label(), ["monotonicity"]))
+    return report.to_json_obj()
+
+
+def test_grouped_thm1_sweep_matches_the_per_pair_reference():
+    xs, ys = [1, rational(3, 2), 1], [0, rational(1, 2)]  # x = 1 twice
+    specs = [BiasSpec(a, b, m, x, y) for m in range(1, 5) for b in range(2, m + 1)
+             for a in range(1, b) for x in xs for y in ys]
+    want = reference_sweep("thm1", specs, 40)
+    for jobs in (1, 2):
+        assert dominance_sweep(4, xs, ys, 40, jobs=jobs).to_json_obj() == want
+
+
+def test_grouped_thm2_sweep_matches_the_per_pair_reference():
+    xs = [0, rational(1, 2), 2]
+    specs, witnesses = [], {}
+    for m in range(1, 9):
+        for b in range(2, m + 1):
+            for a in range(1, b):
+                k = doubling_orbit_witness(a, b, m)
+                if k is not None:
+                    witnesses[f"({a},{b},{m})"] = k
+                    specs += [BiasSpec(a, b, m, x, 1) for x in xs]
+    want = reference_sweep("thm2", specs, 40, witnesses)
+    for jobs in (1, 2):
+        assert distinct_dominance_sweep(8, xs, 40, jobs=jobs).to_json_obj() == want
+
+
+# groups with real violations: (1,2,4; 1/2,1/2) at n = 2, 6; (1,2,3; 0,1)
+# at n = 2, 5, 8, ...; (2,3,3; 0,1) at n = 4; (2,4,4; 0,1) at n = 4
+VIOLATING = [BiasSpec(a, b, m, x, y) for m, x, y in ((4, rational(1, 2), rational(1, 2)),
+                                                     (3, 0, 1), (4, 0, 1))
+             for a in range(1, m) for b in range(a + 1, m + 1)]
+
+
+def test_grouped_sweep_reassembles_violations_in_spec_order():
+    # groups interleaved, out of class order, with a repeated spec
+    specs = VIOLATING[::-1] + VIOLATING[::2] + [BiasSpec(1, 2, 5, rational(1, 2), 1)]
+    want = reference_sweep("mixed", specs, 40)
+    assert want["violations"] and not want["passed"]
+    for jobs in (1, 2):
+        assert _run_sweep("mixed", specs, 40, jobs).to_json_obj() == want
+
+
+def test_sweep_group_matches_compare_bias_pair_by_pair():
+    for m, x, y in ((4, rational(1, 2), rational(1, 2)), (3, 0, 1)):
+        pairs = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+        got = _sweep_group((m, x, y, pairs, 40))
+        assert sorted(got) == sorted(pairs)
+        for (a, b), (violations, mono) in got.items():
+            rep = compare_bias(BiasSpec(a, b, m, x, y), 40)
+            assert violations == rep.violations
+            assert mono == (monotonicity_check(rep.values, m)[0]
+                            and monotonicity_check(rep.swapped_values, m)[0])
+
+
+@st.composite
+def graded_lists(draw):
+    """A D^n-graded list of small values c_n, each entry nudged by at most
+    one so that it sits on, just above or just below a monotonicity bound."""
+    D = draw(st.integers(1, 4))
+    values = draw(st.lists(st.integers(-3, 3), max_size=12))
+    nudges = draw(st.lists(st.integers(-1, 1), min_size=len(values), max_size=len(values)))
+    return D, [c * D**n + e for n, (c, e) in enumerate(zip(values, nudges))]
+
+
+@given(graded_lists(), st.integers(1, 5))
+@example((2, [1, 3]), 1)  # c_1 = 3/2 >= c_0 = 1
+@example((2, [2, 3]), 1)  # c_1 = 3/2 < c_0 = 2, though 3 >= 2^0 * 2
+@example((3, [1, 2, 8]), 2)  # c_2 = 8/9 < c_0 = 1, though 8 >= 3^1 * 1
+def test_graded_monotonicity_matches_the_ungraded_check(graded, m):
+    D, g = graded
+    assert _monotone_graded(g, m, D) == monotonicity_check(ungrade(g, D), m)[0]
 
 
 def test_cross_check_matrix_small():
