@@ -392,10 +392,12 @@ def _run_sweep(name, specs, N, jobs, witnesses=None) -> SweepReport:
 
     The specs run in groups that share (m, x, y), one :func:`_sweep_group`
     each, so that a class's ladder is built once per group; a pool gets
-    the groups largest first, one at a time.  A sweep with no spec would
-    pass without comparing anything, so it is rejected as an invalid
-    configuration instead.
+    the groups largest first, one at a time.  A sweep with no spec or an
+    order below 1 would pass without comparing anything, so it is rejected
+    as an invalid configuration instead; :func:`_sweep_group` calls no
+    entry point that checks the order itself.
     """
+    positive_order(N)
     if not specs:
         raise InvalidParameterError(f"the {name} sweep has no comparison to run")
     if jobs is None:

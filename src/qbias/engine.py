@@ -116,11 +116,18 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N):
     Horner pass per partner class b, prefactor included, each giving
     p_n(a,b,m;x,y) D^n for n <= N.  The passes go down together and share
     the suffix sums, which are built in the rows' place as they are read,
-    so the rows are used up."""
+    so the rows are used up.
+
+    T_n reaches T_0 only through the steps j < n, whose multipliers start
+    at q^{b + z_j}, so each partner keeps T_n only up to q^{N - cum_n} with
+    cum_n = n b, or n b + m n(n-1)/2 when x = 0; the coefficients above
+    that cut never reach q^N, as in :func:`progression`'s own Horner sums.
+    A partner whose cut falls below T_n's lowest power skips that level.
+    The suffix sums stay full, since S_1 enters T_0 up to q^N."""
     if not rows:
         return [[0] * (N + 1) for _ in partners]
-    off, suffix = rows.pop()
-    accs = [suffix] * len(partners)
+    accs = [[] for _ in partners]  # T_{n+1} from q^top on; [] stands for 0
+    off, suffix = N + 1, []  # nothing above the top row
     for n in range(len(rows) - 1, -1, -1):
         z = 0 if P else n * m
         top = off
@@ -128,9 +135,15 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N):
         add_shifted(tail, top - off, suffix)
         suffix = tail
         for i, b in enumerate(partners):
-            step = rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, N - top)
-            accs[i] = list(suffix)
-            add_shifted(accs[i], top - off + b + z, step)
+            cut = N - n * b - (0 if P else m * n * (n - 1) // 2)
+            # T_n starts above its cut and adds nothing; the cut rises and off
+            # falls as n falls, so only top levels skip, where accs[i] is []
+            if cut < off:
+                continue
+            acc = suffix[:cut - off + 1]
+            step = rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
+            add_shifted(acc, top - off + b + z, step)
+            accs[i] = acc
     out = []
     for b, acc in zip(partners, accs):
         graded = [0] * (N + 1)
@@ -158,7 +171,11 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     suffix S_{n+1} = sum_{k>n} A_k, which gives the sum as T_0.  Each list
     is kept as an (offset, tail) pair from its lowest term on: A_k from
     that power, S_{n+1} and T_n from the lowest power of A_{n+1}, so a step
-    touches the support only.  The rows do not depend on b, so a sweep
+    touches the support only.  T_n enters T_0 only through the steps
+    j < n, whose multipliers start at q^{b + z_j} (z_j = 0, or jm when
+    x = 0), so a pass keeps T_n only up to q^{N - cum_n} with
+    cum_n = sum_{j<n} (b + z_j); the suffix sums stay full, since S_1 is
+    T_0's own term.  The rows do not depend on b, so a sweep
     builds them once per class and runs the downward passes of all its
     partners together.  Row n+1 turns into S_{n+1} only when the passes
     reach it, and is then dropped: A_k is nonzero only at q^{ak + jm},

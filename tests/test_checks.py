@@ -187,6 +187,15 @@ def test_sweeps_reject_jobs_below_one():
             distinct_dominance_sweep(4, [1], 20, jobs=jobs)
 
 
+def test_sweeps_reject_orders_below_one():
+    # a sweep calls no entry point that checks N, and N < 1 compares nothing
+    for N in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            dominance_sweep(3, [1], [0], N, jobs=1)
+        with pytest.raises(InvalidParameterError):
+            distinct_dominance_sweep(4, [1], N, jobs=1)
+
+
 def test_distinct_dominance_sweep_small():
     rep = distinct_dominance_sweep(6, [0, 1], 60, jobs=1)
     assert rep.passed

@@ -23,7 +23,8 @@ from qbias import (
 )
 import qbias.kernel
 import qbias.oracle
-from qbias.engine import _class_factors, _prefactor_graded, _weight_factors
+from qbias.engine import (_class_factors, _gf_graded, _gf_ladder, _prefactor_graded,
+                          _weight_factors)
 from qbias.kernel import add_shifted, div1, mul_trunc, scaled_weights, ungrade
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
@@ -165,6 +166,29 @@ def test_gf_matches_dense_double_sum(N):
             got, want = bias_series_gf(spec, N), dense_double_sum(spec, N)
             assert got.coeffs == want.coeffs, spec
             assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), spec
+
+
+@pytest.mark.parametrize("N", [1, 2, 13, 60])
+def test_gf_graded_partners_match_single_runs_and_dense_sum(N):
+    # one ladder, many partners given out of order: each partner's Horner
+    # pass stops at its own cut N - cum_n, with partners b > N/2 and b > N,
+    # m > N, x = 0 (the quadratic cut), y = 0 and D = 1, 2, 3
+    weights = [(1, 1), (2, 1), (0, 1), (0, 2), (rational(3, 2), rational(1, 2)),
+               (0, rational(3, 2)), (rational(1, 3), rational(2, 3)), (rational(5, 2), 0)]
+    near = {1, 2, 3, N // 2 + 1, N, N + 1, N + 2, N + 3}
+    groups = [(m, c, range(1, m + 1)) for m in (3, 7) for c in range(1, m + 1)]
+    groups += [(N + 3, c, near) for c in (1, 2, N // 2 + 1, N + 2)]
+    for m, c, classes in groups:
+        partners = sorted(b for b in set(classes) if b != c)
+        partners = partners[1::2] + partners[::-2]  # out of order
+        for xy in weights:
+            P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
+            together = _gf_graded(_gf_ladder(c, m, P, Q, D, N), c, partners, m, P, Q, D, N)
+            for b, graded in zip(partners, together):
+                [alone] = _gf_graded(_gf_ladder(c, m, P, Q, D, N), c, [b], m, P, Q, D, N)
+                assert graded == alone, (c, b, m, xy)
+                dense = dense_double_sum(BiasSpec(c, b, m, *xy), N)
+                assert ungrade(graded, D) == dense.coeffs, (c, b, m, xy)
 
 
 @pytest.mark.parametrize("N", [0, 1, 13, 300])
