@@ -15,7 +15,7 @@ from qbias import (
     bias_constant,
     convergence_report,
     digamma_diff,
-    tauberian_predict,
+    tauberian_predict_log,
     total_weighted_series,
 )
 
@@ -35,5 +35,5 @@ print("strictly decreasing:", rep.trend_ok)
 print("\nTauberian main term vs exact p(n):")
 exact = total_weighted_series(1, 0, 400)
 for n in (100, 200, 400):
-    approx = tauberian_predict(PROFILE_PARTITIONS, n)
+    approx = math.exp(tauberian_predict_log(PROFILE_PARTITIONS, n))
     print(f"  n={n}: predicted/actual = {approx / int(exact.coeffs[n]):.4f}")

@@ -18,8 +18,6 @@ from .asymptotics import (
     boundary_main_term,
     convergence_report,
     digamma_diff,
-    digamma_reference,
-    tauberian_predict,
     tauberian_predict_log,
 )
 from .biasspec import BiasSpec
@@ -47,15 +45,7 @@ from .engine import (
     total_weighted_series,
 )
 from .identities import IdentityReport, verify_identity
-from .oracle import (
-    Partition,
-    count_distinct,
-    count_partitions,
-    enumerate_distinct,
-    enumerate_partitions,
-    oracle_bias,
-    oracle_total,
-)
+from .oracle import oracle_bias, oracle_total
 from .scalars import (
     InvalidParameterError,
     QbiasError,

@@ -28,9 +28,7 @@ __all__ = [
     "PROFILE_OVERPARTITIONS",
     "BiasConstant",
     "digamma_diff",
-    "digamma_reference",
     "bias_constant",
-    "tauberian_predict",
     "tauberian_predict_log",
     "convergence_report",
     "ConvergenceReport",
@@ -124,29 +122,6 @@ def digamma_diff(a: int, m: int) -> float:
     return 2.0 * _alternating_sum(lambda k: 1.0 / (k + r))
 
 
-def digamma_reference(u: float) -> float:
-    """Digamma by recurrence plus the large-argument expansion.
-
-    Independent of :func:`digamma_diff`; used as a cross-check oracle only.
-    """
-    if u <= 0:
-        raise InvalidParameterError("positive argument required")
-    acc = 0.0
-    while u < 12.0:
-        acc -= 1.0 / u
-        u += 1.0
-    # asymptotic tail: ln u - 1/(2u) - sum B_{2n} / (2n u^{2n})
-    inv2 = 1.0 / (u * u)
-    tail = (
-        inv2 * (1.0 / 12.0
-                - inv2 * (1.0 / 120.0
-                          - inv2 * (1.0 / 252.0
-                                    - inv2 * (1.0 / 240.0
-                                              - inv2 * (1.0 / 132.0)))))
-    )
-    return acc + math.log(u) - 0.5 / u - tail
-
-
 @dataclass(frozen=True)
 class BiasConstant:
     a: int
@@ -192,11 +167,6 @@ def tauberian_predict_log(profile: AsymptoticProfile, n) -> float:
     power = -expo - 0.5
     growth = (1.0 + 1.0 / ro) * be ** (1.0 / (1.0 + ro)) * n ** (ro / (1.0 + ro))
     return ln_front + power * math.log(n) + growth
-
-
-def tauberian_predict(profile: AsymptoticProfile, n) -> float:
-    """Closed-form coefficient main term at n; see tauberian_predict_log."""
-    return math.exp(tauberian_predict_log(profile, n))
 
 
 # -- convergence of exact ratios -----------------------------------------------------

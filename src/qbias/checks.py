@@ -53,27 +53,18 @@ def doubling_orbit_witness(a: int, b: int, m: int):
     """Smallest k | (b-a) whose doubling orbit {2^h k mod m : h >= 0}
     avoids both residue classes a and b; None when no divisor qualifies.
 
-    The orbit of k under doubling mod m enters a cycle within m steps, so
-    2m iterations with seen-state detection decide each candidate.
+    The orbit is walked until a state repeats, so it is collected whole.
     """
     _check_ordered_classes(a, b, m)
-    am, bm = a % m, b % m
     diff = b - a
     for k in range(1, diff + 1):
         if diff % k:
             continue
-        state = k % m
-        seen = set()
-        ok = True
-        for _ in range(2 * m + 1):
-            if state == am or state == bm:
-                ok = False
-                break
-            if state in seen:
-                break
-            seen.add(state)
-            state = (2 * state) % m
-        if ok:
+        orbit, state = set(), k % m
+        while state not in orbit:
+            orbit.add(state)
+            state = 2 * state % m
+        if a % m not in orbit and b % m not in orbit:
             return k
     return None
 

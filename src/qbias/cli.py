@@ -247,6 +247,8 @@ def _run_thm2(args):
 
 def _run_lemma2_1(args):
     spec = BiasSpec(args.a, args.b, args.m, args.x, args.y)
+    if args.N < spec.m:
+        raise InvalidParameterError("lemma2-1 compares c_n with c_{n+m}: need N >= m")
     series = bias_series_gf(spec, args.N)
     ok, bad = monotonicity_check(series.coeffs, spec.m)
     obj = {

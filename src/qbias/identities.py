@@ -19,8 +19,6 @@ from .series import pochhammer_product  # uncalled; perfbench's tracer rebinds i
 __all__ = ["verify_identity", "IdentityReport", "FORMAL_IDENTITIES", "NUMERIC_IDENTITIES",
            "pochhammer_product"]
 
-FORMAL_IDENTITIES = ("jacobi", "fine", "heine")
-NUMERIC_IDENTITIES = ("theta_reciprocal", "kronecker")
 NUMERIC_TOLERANCE = 1e-10  # worst absolute residual a numeric check may leave
 
 
@@ -212,6 +210,8 @@ _NUMERIC = {
     "theta_reciprocal": _check_theta_reciprocal_point,
     "kronecker": _check_kronecker_point,
 }
+FORMAL_IDENTITIES = tuple(_FORMAL)
+NUMERIC_IDENTITIES = tuple(_NUMERIC)
 
 
 def verify_identity(name: str, params: dict, N: int | None = None) -> IdentityReport:

@@ -1,56 +1,27 @@
-"""Brute-force partition enumeration and direct weighted-bias evaluation.
+"""Direct weighted-bias evaluation by brute-force partition enumeration.
 
 Everything here works straight from the combinatorial definitions, with no
 generating functions anywhere: this module is the ground truth the series
-engines are tested against.  Each pair sum is built from weight-free
-histograms of P(j) and D(j) by (excess, number of parts); these and the
-resulting terms, counts of pairs by their two part numbers, are memoised
-per residue classes, so a spec only weighs cached terms by its x and y.
-It weighs them over one common denominator, a power of each weight's
-denominator, so the sum is taken in Python ints and one rational is formed
-at the end.  Everything is still pure enumeration, for correctness at desk
-scale, not speed.
+engines are tested against.  Its enumerators are private; the tests check
+the oracle against a separate enumerator in ``tests/reference.py``.
+
+Each pair sum is built from weight-free histograms of P(j) and D(j) by
+(excess, number of parts); these and the resulting terms, counts of pairs
+by their two part numbers, are memoised per residue classes, so a spec only
+weighs cached terms by its x and y.  It weighs them over one common
+denominator, a power of each weight's denominator, so the sum is taken in
+Python ints and one rational is formed at the end.  Everything is still
+pure enumeration, for correctness at desk scale, not speed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .biasspec import BiasSpec
 from .scalars import InvalidParameterError, nonneg_weight, rational
 
-ENUM_CAP = 60      # single-set enumeration cap
 PAIR_CAP = 36      # cap for sums over pairs (lam, mu) with |lam|+|mu| = n
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Nonincreasing tuple of positive integer parts; the empty partition has size 0."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        prev = None
-        for p in self.parts:
-            if not isinstance(p, int) or p < 1:
-                raise InvalidParameterError(f"invalid part {p!r}")
-            if prev is not None and p > prev:
-                raise InvalidParameterError("parts must be nonincreasing")
-            prev = p
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def num_parts(self) -> int:
-        return len(self.parts)
-
-    def residue_count(self, a: int, m: int) -> int:
-        """Number of parts congruent to a modulo m (residues taken in 1..m)."""
-        if not 1 <= a <= m:
-            raise InvalidParameterError("residue class must lie in 1..m")
-        return sum(1 for p in self.parts if (p - a) % m == 0)
 
 
 def _iter_partitions(n: int, maxpart: int):
@@ -81,20 +52,6 @@ def check_cap(n: int, cap: int):
         raise InvalidParameterError(
             f"n={n} exceeds the enumeration cap {cap}; "
             "use the series engine for larger sizes")
-
-
-def enumerate_partitions(n: int):
-    """Stream every partition of n exactly once (n <= 60)."""
-    check_cap(n, ENUM_CAP)
-    for parts in _iter_partitions(n, n if n else 1):
-        yield Partition(parts)
-
-
-def enumerate_distinct(n: int):
-    """Stream every partition of n into distinct parts exactly once (n <= 60)."""
-    check_cap(n, ENUM_CAP)
-    for parts in _iter_distinct(n, n if n else 1):
-        yield Partition(parts)
 
 
 @lru_cache(maxsize=4096)
@@ -177,14 +134,3 @@ def oracle_total(x, y, n: int):
     check_cap(n, PAIR_CAP)
     return _evaluate(_pair_terms(n, None), nonneg_weight(x), nonneg_weight(y))
 
-
-def count_partitions(n: int) -> int:
-    """|P(n)| by direct enumeration."""
-    check_cap(n, ENUM_CAP)
-    return sum(1 for _ in _iter_partitions(n, n if n else 1))
-
-
-def count_distinct(n: int) -> int:
-    """|D(n)| by direct enumeration."""
-    check_cap(n, ENUM_CAP)
-    return sum(1 for _ in _iter_distinct(n, n if n else 1))

@@ -29,32 +29,11 @@ class TruncatedSeries:
         positive_order(len(coeffs) - 1)
         self.coeffs = coeffs
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero(order) -> "TruncatedSeries":
-        return TruncatedSeries([0] * (positive_order(order) + 1))
-
-    @staticmethod
-    def one(order) -> "TruncatedSeries":
-        return TruncatedSeries([1] + [0] * positive_order(order))
-
-    @staticmethod
-    def monomial(order, exponent, coeff=1) -> "TruncatedSeries":
-        co = [0] * (positive_order(order) + 1)
-        if not 0 <= exponent <= order:
-            raise InvalidParameterError("monomial exponent outside 0..N")
-        co[exponent] = coeff
-        return TruncatedSeries(co)
-
     # -- basic protocol ---------------------------------------------------
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     def __getitem__(self, n):
         return self.coeffs[n]
@@ -76,21 +55,10 @@ class TruncatedSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_compatible(other)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Full schoolbook convolution, exact mod q^{N+1}."""
         self._check_compatible(other)
         return TruncatedSeries(mul_trunc(self.coeffs, other.coeffs, self.order))
-
-    def shift(self, e: int) -> "TruncatedSeries":
-        """Multiply by q^e (e >= 0), discarding overflow past the order."""
-        if e < 0:
-            raise InvalidParameterError("negative shift")
-        n = len(self.coeffs)
-        return TruncatedSeries([0] * min(e, n) + self.coeffs[:max(n - e, 0)])
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse mod q^{N+1}.

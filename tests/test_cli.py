@@ -57,6 +57,7 @@ def test_invalid_config_exit_2_and_json_error():
                  ["verify", "thm2", "--m-max", "2"],
                  ["verify", "nonneg", "--draws", "0"],
                  ["verify", "identities", "--names", ""],
+                 ["verify", "lemma2-1", "--a", "1", "--b", "2", "--m", "5", "--N", "4"],
                  # orders and sample sizes outside what the routes accept
                  ["scan-conjecture", "--a", "1", "--b", "2", "--m", "3", "--N", "-1"],
                  ["verify", "identities", "--N", "0", "--names", "jacobi"],

@@ -26,6 +26,7 @@ import qbias.oracle
 from qbias.engine import (_class_factors, _gf_graded, _gf_ladder, _prefactor_graded,
                           _weight_factors)
 from qbias.kernel import add_shifted, div1, mul_trunc, scaled_weights, ungrade
+from reference import add, shift
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
 
@@ -33,12 +34,13 @@ WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
 def naive_double_sum(spec, N):
     """Direct sum over index pairs n1 > n with full series products.
 
-    Slow reference built only from TruncatedSeries primitives; exercises
-    none of the engine's incremental machinery.
+    Slow reference built only from TruncatedSeries products and the dense
+    helpers of tests/reference.py; exercises none of the engine's
+    incremental machinery.
     """
     x, y = spec.x, spec.y
     a, b, m = spec.a, spec.b, spec.m
-    one = TruncatedSeries.one(N)
+    one = TruncatedSeries([1] + [0] * N)
 
     def ladder(k):
         acc = one
@@ -57,13 +59,13 @@ def naive_double_sum(spec, N):
                 acc = acc * TruncatedSeries(fac).invert()
         return acc
 
-    total = TruncatedSeries.zero(N)
+    total = TruncatedSeries([0] * (N + 1))
     n1 = 1
     while a * n1 <= N:
-        un1 = ladder(n1).shift(a * n1)
+        un1 = shift(ladder(n1), a * n1)
         n = 0
         while n < n1 and a * n1 + b * n <= N:
-            total = total + un1 * ladder(n).shift(b * n)
+            total = add(total, un1 * shift(ladder(n), b * n))
             n += 1
         n1 += 1
 

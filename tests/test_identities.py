@@ -7,6 +7,7 @@ import pytest
 from qbias import InvalidParameterError, rational, verify_identity
 from qbias.identities import _FORMAL
 from qbias.series import TruncatedSeries, pochhammer_product
+from reference import add
 
 # (2, 20): the common shift s(s-1)/2 = 190 lies beyond the order N = 150
 JACOBI_GRID = [(1, 1), (1, 2), (-1, 2), (2, 3), (-3, 1), (rational(-2, 3), 4), (2, 20)]
@@ -93,7 +94,7 @@ def test_unknown_identity():
 
 def _one_minus(c, e, N):
     """1 - c q^e as a rational series mod q^{N+1}."""
-    f = TruncatedSeries.one(N)
+    f = TruncatedSeries([1] + [0] * N)
     if e <= N:
         f.coeffs[e] -= rational(c)
     return f
@@ -103,15 +104,15 @@ def _hyper_ref(num, den, z, N, start=None):
     """start * sum_n prod (a;q)_n / prod (b;q)_n z^n, one factor at a time
     through TruncatedSeries * and invert."""
     (cz, sz) = z
-    term = start or TruncatedSeries.one(N)
+    term = start or TruncatedSeries([1] + [0] * N)
     out = term
     for n in range(N // sz):
         for c, s in num:
             term = term * _one_minus(c, s + n, N)
         for c, s in den:
             term = term * _one_minus(c, s + n, N).invert()
-        term = term * TruncatedSeries.monomial(N, sz, cz)
-        out = out + term
+        term = term * TruncatedSeries([0] * sz + [cz] + [0] * (N - sz))
+        out = add(out, term)
     return out.coeffs
 
 
@@ -122,7 +123,7 @@ def _inf(c, s, N):
 
 def _jacobi_ref(p, N):
     c, s = rational(p["c"]), p["s"]
-    lhs = TruncatedSeries.monomial(N, 0, c**-s)
+    lhs = TruncatedSeries([c**-s] + [0] * N)
     for j in range(s):
         lhs = lhs * _one_minus(-c, j, N)
     lhs = lhs * _inf(-1 / c, 1, N) * _inf(-c, s, N) * _inf(1, 1, N)

@@ -1,7 +1,8 @@
 """Every name a qbias module imports is used there or re-exported in __all__,
 no module forks on an optional import, every kernel function and module-level
-private name has a caller, and every name the package exports is referred to
-by one of its modules or listed."""
+private name has a caller, every name the package exports is referred to
+by one of its modules or listed, and every public function, class and method
+is referred to by production code."""
 
 import ast
 import os
@@ -121,10 +122,9 @@ def test_kernel_functions_and_private_names_have_callers():
     assert uncalled(sources, "kernel") == []
 
 
-# exports that no other qbias module refers to; ROADMAP item 5 empties this list
-UNREFERENCED_EXPORTS = ["count_distinct", "count_partitions", "digamma_reference",
-                        "enumerate_distinct", "enumerate_partitions", "pochhammer_product",
-                        "tauberian_predict"]
+# exports that no other qbias module refers to; pochhammer_product stays
+# while perfbench/tracer.py rebinds it (ROADMAP item 5)
+UNREFERENCED_EXPORTS = ["pochhammer_product"]
 
 
 def unreferenced_exports(init_source, sources):
@@ -156,6 +156,73 @@ def test_every_export_has_a_caller_or_is_listed():
     sources = {p.stem: p.read_text() for p in MODULES}
     init = (pathlib.Path(qbias.__file__).parent / "__init__.py").read_text()
     assert unreferenced_exports(init, sources) == UNREFERENCED_EXPORTS
+
+
+def unreferenced_api(package, sources):
+    """(module, name) for every public top-level function or class of a
+    ``package`` module (module -> source text), and (module, "Class.method")
+    for every public method of such a class, that no code in ``sources``
+    (any key -> source text) refers to outside the name's own definition.
+
+    A reference is a name, an attribute or a whole string constant, since
+    perfbench's tracer names the attributes it rebinds as strings; an
+    ``__all__`` string is no reference, and dunder methods are skipped.  Like
+    uncalled(), this goes by name alone: any name or attribute spelt the same
+    counts, so ``TruncatedSeries.zero`` would pass as referred to through
+    dp's local variable ``zero``.
+    """
+    wanted = {}
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                wanted[(module, node.name)] = node.name
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        wanted[(module, f"{node.name}.{sub.name}")] = sub.name
+    used = set()
+    for source in sources.values():
+        for node in ast.parse(source).body:
+            names = _defined(node)
+            if "__all__" in names:
+                continue
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    ref = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    ref = sub.attr
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    ref = sub.value
+                else:
+                    continue
+                if ref not in names:
+                    used.add(ref)
+    return sorted(key for key, name in wanted.items() if name not in used)
+
+
+def test_api_audit_sees_names_only_tests_could_reach():
+    package = {"a": ("__all__ = ['listed']\n"
+                     "def listed():\n    pass\n"
+                     "def recursive(n):\n    return recursive(n - 1)\n"
+                     "def by_string():\n    pass\n"
+                     "class Box:\n"
+                     "    def __len__(self):\n        return 0\n"
+                     "    def used(self):\n        return self.spare\n"
+                     "    def spare(self):\n        pass\n"
+                     "    def orphan(self):\n        pass\n"
+                     "    def _private(self):\n        pass\n")}
+    sources = dict(package, bench="import a\nsetattr(a, 'by_string', None)\na.Box().used()\n")
+    assert unreferenced_api(package, sources) == [("a", "Box.orphan"), ("a", "listed"),
+                                                 ("a", "recursive")]
+
+
+def test_every_public_name_has_a_production_reference():
+    # the CLI, the library routes, the benchmark and the demos are the
+    # production code; a name only the tests reach belongs in tests/
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = {p.stem: p.read_text() for p in MODULES}
+    sources = {str(p): p.read_text()
+               for d in ("src", "perfbench", "demos") for p in (root / d).rglob("*.py")}
+    assert unreferenced_api(package, sources) == []
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

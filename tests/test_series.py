@@ -8,14 +8,13 @@ from qbias import (
     SingularSeriesError,
     TruncatedSeries,
     bias_series_symmetric,
-    count_distinct,
-    count_partitions,
     evaluate_numeric,
     pochhammer_product,
     rational,
 )
 from qbias.engine import _symmetric_sum
 from qbias.kernel import progression, rung
+from reference import add, distinct_partitions, partitions
 
 N = 24
 
@@ -28,22 +27,26 @@ def geometric(order):
     return TruncatedSeries([1] * (order + 1))
 
 
+def one(order):
+    return TruncatedSeries([1] + [0] * order)
+
+
 # -- construction and structure -------------------------------------------------
 
 
 def test_order_validation():
     with pytest.raises(InvalidParameterError):
-        TruncatedSeries.zero(0)
+        TruncatedSeries([0])
     with pytest.raises(InvalidParameterError):
-        TruncatedSeries.zero(-3)
+        TruncatedSeries([])
     with pytest.raises(InvalidParameterError):
         TruncatedSeries([1])
     assert TruncatedSeries([1, 2, 3]).order == 2
 
 
 def test_domain_and_order_mismatch_rejected():
-    a = TruncatedSeries.one(5)
-    c = TruncatedSeries.one(6)
+    a = one(5)
+    c = one(6)
     with pytest.raises(InvalidParameterError):
         a * c
 
@@ -53,7 +56,7 @@ def test_integer_domain_rejects_fractions():
     with pytest.raises(InvalidParameterError):
         TruncatedSeries([0.5, 0, 1])
     with pytest.raises(InvalidParameterError):
-        TruncatedSeries.monomial(3, 1, "1/2")
+        TruncatedSeries([0, "1/2", 0, 0])
     for c, sign in ((0.5, 1), ("1/2", 1), ("1/2", -1)):
         with pytest.raises(InvalidParameterError):
             pochhammer_product(c, sign, 1, 1, 5)
@@ -65,11 +68,11 @@ def test_integer_domain_rejects_fractions():
 @settings(max_examples=40, deadline=None)
 @given(int_series, int_series, int_series)
 def test_ring_laws(s1, s2, s3):
-    assert (s1 + s2).coeffs == (s2 + s1).coeffs
-    assert ((s1 + s2) + s3).coeffs == (s1 + (s2 + s3)).coeffs
+    assert add(s1, s2).coeffs == add(s2, s1).coeffs
+    assert add(add(s1, s2), s3).coeffs == add(s1, add(s2, s3)).coeffs
     assert (s1 * s2).coeffs == (s2 * s1).coeffs
     assert ((s1 * s2) * s3).coeffs == (s1 * (s2 * s3)).coeffs
-    assert (s1 * (s2 + s3)).coeffs == (s1 * s2 + s1 * s3).coeffs
+    assert (s1 * add(s2, s3)).coeffs == add(s1 * s2, s1 * s3).coeffs
 
 
 def test_simple_products():
@@ -79,12 +82,6 @@ def test_simple_products():
     geo = geometric(50)
     fac = TruncatedSeries([1, -1] + [0] * 49)
     assert (geo * fac).coeffs == [1] + [0] * 50
-
-
-@settings(max_examples=30, deadline=None)
-@given(int_series)
-def test_additive_identity(s):
-    assert (s + TruncatedSeries.zero(N)).coeffs == s.coeffs
 
 
 # -- inversion ----------------------------------------------------------------------
@@ -102,9 +99,8 @@ def test_invert_involution_and_two_sided(s):
     cs[0] = 1
     s = TruncatedSeries(cs)
     inv = s.invert()
-    one = TruncatedSeries.one(N)
-    assert (s * inv).coeffs == one.coeffs
-    assert (inv * s).coeffs == one.coeffs
+    assert (s * inv).coeffs == one(N).coeffs
+    assert (inv * s).coeffs == one(N).coeffs
     assert inv.invert().coeffs == s.coeffs
 
 
@@ -112,15 +108,15 @@ def test_invert_preconditions():
     with pytest.raises(SingularSeriesError):
         TruncatedSeries([2, 0, 0, 0, 0]).invert()
     with pytest.raises(SingularSeriesError):
-        TruncatedSeries.zero(4).invert()
+        TruncatedSeries([0] * 5).invert()
     half = TruncatedSeries([rational(1, 2), 1, 0, 0, 0])
-    assert (half * half.invert()).coeffs == TruncatedSeries.one(4).coeffs
+    assert (half * half.invert()).coeffs == one(4).coeffs
 
 
 def test_partition_numbers_from_euler_product():
     inv = pochhammer_product(1, -1, 1, 1, 30).invert()
     for n in range(31):
-        assert inv.coeffs[n] == count_partitions(n)
+        assert inv.coeffs[n] == sum(1 for _ in partitions(n))
     assert inv.coeffs[10] == 42
 
 
@@ -130,7 +126,7 @@ def test_partition_numbers_from_euler_product():
 def test_pochhammer_distinct_counts():
     s = pochhammer_product(1, 1, 1, 1, 20)
     for n in range(15):
-        assert s.coeffs[n] == count_distinct(n)
+        assert s.coeffs[n] == sum(1 for _ in distinct_partitions(n))
     assert s.coeffs[6] == 4
 
 
@@ -149,7 +145,7 @@ def test_pochhammer_offset_validation():
 def test_pochhammer_split_range():
     # product over a split index range equals the product over the full range
     full = pochhammer_product(1, -1, 2, 3, 40)
-    head = TruncatedSeries.one(40)
+    head = one(40)
     for j in range(4):
         factor = TruncatedSeries([0] * (2 + 3 * j) + [-1] + [0] * (40 - 2 - 3 * j))
         factor.coeffs[0] = 1
@@ -160,7 +156,7 @@ def test_pochhammer_split_range():
 
 def test_pochhammer_self_inverse():
     s = pochhammer_product(1, -1, 1, 2, 25)
-    assert (s * s.invert()).coeffs == TruncatedSeries.one(25).coeffs
+    assert (s * s.invert()).coeffs == one(25).coeffs
 
 
 @pytest.mark.parametrize("D", [1, 2, 3])
@@ -173,11 +169,11 @@ def test_qprod_matches_series_products(D):
     graded = [1] + [0] * N
     for u, exponents, power in table:
         graded = progression(graded, u, exponents.start, exponents.step, power, D, N)
-    ref = TruncatedSeries.one(N)
+    ref = one(N)
     for u, exponents, power in table:
         for e in exponents:
-            f = TruncatedSeries.monomial(N, e, rational(u, D))
-            f.coeffs[0] = rational(1)
+            f = one(N)
+            f.coeffs[e] = rational(u, D)
             ref = ref * (f if power > 0 else f.invert())
     assert [rational(c, D**n) for n, c in enumerate(graded)] == ref.coeffs
     # one weight-ladder rung q^c (x + y q^e) / (1 - q^f) with x = P/D,
@@ -187,10 +183,11 @@ def test_qprod_matches_series_products(D):
         for P, Q in ((3, 5), (0, 5), (3, 0)):
             for e, f in ((2, 3), (0, 4)):
                 step = rung(graded, P, Q, D, c, e, f, N)
-                num = TruncatedSeries.monomial(N, c + e, rational(Q, D))
+                num = TruncatedSeries([0] * (N + 1))
+                num.coeffs[c + e] = rational(Q, D)
                 num.coeffs[c] += rational(P, D)
-                den = TruncatedSeries.monomial(N, f, rational(-1))
-                den.coeffs[0] = rational(1)
+                den = one(N)
+                den.coeffs[f] = -1
                 want = ref * num * den.invert()
                 assert all(type(v) is int for v in step)
                 assert [rational(v, D**n) for n, v in enumerate(step, c)] == want.coeffs[c:]
@@ -217,7 +214,7 @@ def test_truncation_consistency(s1, s2):
     def cut(s, order):
         return TruncatedSeries(s.coeffs[: order + 1])
 
-    for op in (lambda a, b: a + b, lambda a, b: a * b):
+    for op in (add, lambda a, b: a * b):
         full = cut(op(s1, s2), 10)
         small = op(cut(s1, 10), cut(s2, 10))
         assert full.coeffs == small.coeffs
@@ -231,8 +228,7 @@ def test_truncation_consistency(s1, s2):
 
 
 def test_evaluate_constant():
-    s = TruncatedSeries.one(5)
-    r = evaluate_numeric(s, 0.3)
+    r = evaluate_numeric(one(5), 0.3)
     assert r.value == 1.0 and not r.tail_alarm
 
 
