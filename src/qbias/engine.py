@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .kernel import (add_shifted, euler, jacobi, mul_trunc, progression, quotient, rung,
-                     scaled_weights, ungrade)
+from .kernel import (add_shifted, euler, jacobi, mul_trunc, pack_lanes, progression, quotient,
+                     rung, scaled_weights, ungrade, unpack_lanes)
 from .scalars import InvalidParameterError, nonneg_weight, positive_order, rational
 from .series import TruncatedSeries
 
@@ -74,14 +74,12 @@ def total_weighted_series(x, y, N: int) -> TruncatedSeries:
 # -- the double-sum generating-function engine ---------------------------------
 
 
-def _class_factors(co, a, b, m, P, Q, D, N):
-    """co * (xq^a, xq^b; q^m)_inf / (-yq^a, -yq^b; q^m)_inf on a graded list,
-    as a new list; a list from q^o on takes N - o as N.  Shared by the cached
-    :func:`_prefactor_graded` (the gf for x in {0, 1} with integer y, and
-    ``checks._expand_f_series``) and the gf's factor path."""
-    for s in (a, b):
-        co = progression(progression(co, -P, s, m, 1, D, N), Q, s, m, -1, D, N)
-    return co
+def _class_side(co, s, m, P, Q, D, N):
+    """co * (xq^s;q^m)_inf / (-yq^s;q^m)_inf on a graded list, as a new
+    list; a list from q^o on takes N - o as N.  The cached
+    :func:`_prefactor_graded` takes both classes' sides, and the gf's
+    factor path takes them apart (:func:`_gf_graded`)."""
+    return progression(progression(co, -P, s, m, 1, D, N), Q, s, m, -1, D, N)
 
 
 @lru_cache(maxsize=64)
@@ -91,7 +89,8 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
     (-yq;q)_inf (xq^a, xq^b; q^m)_inf / ((xq;q)_inf (-yq^a, -yq^b; q^m)_inf);
     symmetric under a <-> b, so callers pass the classes as lo <= hi.
     """
-    return tuple(_class_factors(_total_graded(P, Q, D, N), lo, hi, m, P, Q, D, N))
+    sides = _class_side(_total_graded(P, Q, D, N), lo, m, P, Q, D, N)
+    return tuple(_class_side(sides, hi, m, P, Q, D, N))
 
 
 def _gf_ladder(a, m, P, Q, D, N):
@@ -123,7 +122,19 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N):
     cum_n = n b, or n b + m n(n-1)/2 when x = 0; the coefficients above
     that cut never reach q^N, as in :func:`progression`'s own Horner sums.
     A partner whose cut falls below T_n's lowest power skips that level.
-    The suffix sums stay full, since S_1 enters T_0 up to q^N."""
+    The suffix sums stay full, since S_1 enters T_0 up to q^N.
+
+    On the factor path (D > 1 or x >= 2, see :func:`bias_series_gf`) each
+    T_0 first takes its own side (xq^b;q^m)_inf / (-yq^b;q^m)_inf, two
+    :func:`progression` passes.  The rest of the prefactor,
+    (-yq;q)_inf / (xq;q)_inf and class a's side, is the same for every
+    partner, so the partners are packed into the K-bit lanes of one list
+    (:func:`pack_lanes`), those four passes act on it once, and the lanes
+    are unpacked: 2k + 4 passes for k partners in place of 6k.  The passes
+    are Z-linear, so only the final lanes must fit, and they do with K the
+    bit length of the largest graded p_n(x,y), n <= N, since
+    0 <= p_n(a,b,m;x,y) <= p_n(x,y) for non-negative weights.  A lone
+    partner packs into one lane, which needs no K."""
     if not rows:
         return [[0] * (N + 1) for _ in partners]
     accs = [[] for _ in partners]  # T_{n+1} from q^top on; [] stands for 0
@@ -144,17 +155,16 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N):
             step = rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
             add_shifted(acc, top - off + b + z, step)
             accs[i] = acc
-    out = []
-    for b, acc in zip(partners, accs):
-        graded = [0] * (N + 1)
-        if D == 1 and P <= 1:  # narrow ints; see bias_series_gf
-            prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
-            graded[off:] = mul_trunc(prefactor, acc, N - off)
-        else:
-            graded[off:] = _class_factors(_weight_factors(acc, P, Q, D, N - off),
-                                          a, b, m, P, Q, D, N - off)
-        out.append(graded)
-    return out
+    if D == 1 and P <= 1:  # narrow ints; see bias_series_gf
+        tails = [mul_trunc(_prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N), acc, N - off)
+                 for b, acc in zip(partners, accs)]
+    else:
+        K = max(_total_graded(P, Q, D, N)).bit_length() if len(partners) > 1 else 0
+        packed = pack_lanes([_class_side(acc, b, m, P, Q, D, N - off)
+                             for b, acc in zip(partners, accs)], K)
+        packed = _class_side(_weight_factors(packed, P, Q, D, N - off), a, m, P, Q, D, N - off)
+        tails = unpack_lanes(packed, len(partners), K)
+    return [[0] * off + tail for tail in tails]
 
 
 def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
@@ -186,7 +196,10 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     y an integer the lists hold narrow ints, and the cached prefactor times
     one :func:`mul_trunc` is cheapest; otherwise (D^n grading, or x >= 2)
     their entries grow geometrically, and the prefactor's six progression
-    factors act on T_0 itself in place of a dense product.
+    factors act on T_0 itself in place of a dense product: class b's side
+    first, then (-yq;q)_inf / (xq;q)_inf and class a's side.  Here there is
+    one partner, so the lane packing that lets a sweep's partners share the
+    last four factors costs two list copies and no bound.
     """
     positive_order(N)
     a, b, m = spec.a, spec.b, spec.m

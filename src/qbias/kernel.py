@@ -9,7 +9,8 @@ triple products (:func:`jacobi`) and Euler's pentagonal series for
 divided out with one :func:`div_sparse` pass over their nonzero terms each.
 This module is the only place that multiplies such factors in, singly too
 (:func:`mul1`, :func:`div1`), that takes a step q^c (x + y q^e) / (1 - q^f)
-of a weight ladder (:func:`rung`), and that shifts or multiplies lists.
+of a weight ladder (:func:`rung`), that shifts or multiplies lists, and
+that packs several lists into the bit lanes of one (:func:`pack_lanes`).
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
@@ -213,6 +214,28 @@ def _kronecker(a, b, N, wb):
     prod = (_pack(a, wb) * _pack(b, wb) + bias) & ((1 << (8 * wb * n)) - 1)
     buf = prod.to_bytes(wb * n, "little")
     return [int.from_bytes(buf[i:i + wb], "little") - half for i in range(0, wb * n, wb)]
+
+
+def pack_lanes(lanes, K):
+    """One list whose entry n is sum_i lanes[i][n] * 2^(K*i), for int lists
+    of one length.  A Z-linear map of such a list, such as a
+    :func:`progression` factor, acts on every lane at once; the result
+    unpacks exactly (:func:`unpack_lanes`) when each lane of it lies in
+    [0, 2^K), whatever the sizes and signs on the way.  One lane is copied
+    as it is and needs no K."""
+    out = list(lanes[-1])
+    for lane in reversed(lanes[:-1]):
+        out = [(v << K) + g for v, g in zip(out, lane)]
+    return out
+
+
+def unpack_lanes(co, k, K):
+    """The k lanes of a :func:`pack_lanes` list whose lanes all lie in
+    [0, 2^K); the top lane is the rest above its shift, unmasked."""
+    mask = (1 << K) - 1
+    lanes = [[(v >> K * i) & mask for v in co] for i in range(k - 1)]
+    lanes.append([v >> K * (k - 1) for v in co])
+    return lanes
 
 
 def scaled_weights(x, y):

@@ -35,16 +35,8 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:6])
-        tail = ", ..." if self.order > 5 else ""
-        return f"TruncatedSeries(N={self.order}, [{head}{tail}])"
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if not isinstance(other, TruncatedSeries):

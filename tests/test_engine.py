@@ -23,7 +23,8 @@ from qbias import (
 )
 import qbias.kernel
 import qbias.oracle
-from qbias.engine import (_class_factors, _gf_graded, _gf_ladder, _prefactor_graded,
+import qbias.engine as engine
+from qbias.engine import (_class_side, _gf_graded, _gf_ladder, _prefactor_graded, _total_graded,
                           _weight_factors)
 from qbias.kernel import add_shifted, div1, mul_trunc, scaled_weights, ungrade
 from reference import add, shift
@@ -193,6 +194,48 @@ def test_gf_graded_partners_match_single_runs_and_dense_sum(N):
                 assert ungrade(graded, D) == dense.coeffs, (c, b, m, xy)
 
 
+@pytest.mark.parametrize("N", [13, 60])
+def test_gf_graded_lanes_fill_their_width(N):
+    # class 1 against partners beyond N, where p_n(1,b) nearly equals the
+    # total p_n(x,y), and below it: with x = 5/2 (D = 2) or an integer
+    # x >= 2 every lane needs all K bits of the bound, so the packed
+    # factor path runs at its width
+    m = N + 3
+    partners = [N + 1, 2, N + 2, 3, N // 2]
+    for xy in [(rational(5, 2), rational(1, 2)), (rational(5, 2), 0), (2, 1), (3, 0)]:
+        P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
+        K = max(_total_graded(P, Q, D, N)).bit_length()
+        together = _gf_graded(_gf_ladder(1, m, P, Q, D, N), 1, partners, m, P, Q, D, N)
+        assert [max(g).bit_length() for g in together] == [K] * len(partners), xy
+        for b, graded in zip(partners, together):
+            [alone] = _gf_graded(_gf_ladder(1, m, P, Q, D, N), 1, [b], m, P, Q, D, N)
+            assert graded == alone, (b, xy)
+            dense = dense_double_sum(BiasSpec(1, b, m, *xy), N)
+            assert ungrade(graded, D) == dense.coeffs, (b, xy)
+
+
+def test_factor_path_pass_count(monkeypatch):
+    # each partner's own side is 2 progression passes; the total weight and
+    # class a's side are 4 on the packed lanes, once per class.  A lone
+    # partner makes 6 and computes no lane width: with the cached total
+    # cleared, its 2 passes would show
+    calls = []
+    real = engine.progression
+    monkeypatch.setattr(engine, "progression", lambda *args: calls.append(args) or real(*args))
+    N, a, m = 40, 2, 7
+    for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0)]:
+        P, Q, D = scaled_weights(rational(x), rational(y))
+        for partners in ([5], [1, 5], [1, 3, 4, 5, 6, 7]):
+            rows = _gf_ladder(a, m, P, Q, D, N)
+            if len(partners) == 1:
+                _total_graded.cache_clear()
+            else:
+                _total_graded(P, Q, D, N)
+            calls.clear()
+            _gf_graded(rows, a, partners, m, P, Q, D, N)
+            assert len(calls) == 2 * len(partners) + 4, (x, y, partners)
+
+
 @pytest.mark.parametrize("N", [0, 1, 13, 300])
 def test_prefactor_factors_match_dense_multiply(N):
     # the gf's factor path on a list that holds a series from q^o on, with
@@ -207,7 +250,8 @@ def test_prefactor_factors_match_dense_multiply(N):
             prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
             for o in sorted({0, min(N, 1), N // 3, N}):
                 tail = [(-1) ** j * (7 * j + 1) * D ** (o + j) for j in range(N - o + 1)]
-                got = _class_factors(_weight_factors(tail, P, Q, D, N - o), a, b, m, P, Q, D, N - o)
+                got = _class_side(tail, b, m, P, Q, D, N - o)  # in the gf's order
+                got = _class_side(_weight_factors(got, P, Q, D, N - o), a, m, P, Q, D, N - o)
                 assert got == mul_trunc(prefactor, [0] * o + tail, N)[o:], (a, b, m, xy, o)
 
 

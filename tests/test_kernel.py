@@ -1,6 +1,7 @@
 """The truncated list multiply against naive loops; the ladder step's
-offset convention; the progression products and the sparse Euler, Jacobi
-and division passes against dense q-product tables."""
+offset convention; the bit-lane packing under a linear factor; the
+progression products and the sparse Euler, Jacobi and division passes
+against dense q-product tables."""
 
 from fractions import Fraction
 
@@ -163,6 +164,24 @@ def test_rung_edges():
         assert got == dense_rung(co, 0, 5, 3, 1, e, 7, 9)[1:]
     # a short input is read as zero past its end
     assert rung([1], 1, 0, 1, 1, 0, 2, 6) == [1, 0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("K", [1, 3, 64])
+def test_packed_lanes_take_a_linear_factor_exactly(K):
+    # lanes h_i in [0, 2^K), the top value included, enter as (1 - q) h_i,
+    # whose entries are negative too; one div1 by (1 - q) on the packed
+    # list must give every h_i back, and a lone lane packs as it is
+    N = 9
+    top = (1 << K) - 1
+    lanes = [[top] * (N + 1), [0] * (N + 1), [(j * 7919) & top for j in range(N + 1)],
+             [top * (j & 1) for j in range(N + 1)], [top] + [0] * N]
+    for k in (1, 2, len(lanes)):
+        entering = [[h - p for h, p in zip(lane, [0] + lane)] for lane in lanes[:k]]
+        packed = kernel.pack_lanes(entering, K)
+        kernel.div1(packed, 1, 1, N)
+        assert kernel.unpack_lanes(packed, k, K) == lanes[:k], k
+    assert kernel.pack_lanes([lanes[2]], 0) == lanes[2]
+    assert kernel.unpack_lanes(lanes[2], 1, 0) == [lanes[2]]
 
 
 @pytest.mark.parametrize("power", [2, -2, 0, 3])
