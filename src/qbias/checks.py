@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from .biasspec import BiasSpec
 from .engine import (
+    _gf_form,
     _gf_graded,
     _gf_ladder,
     _prefactor_graded,
@@ -366,7 +367,8 @@ def _sweep_group(task):
     graded, out = {}, {}
     for c in sorted(partners):
         others = partners[c]
-        outputs = _gf_graded(_gf_ladder(c, m, P, Q, D, N), c, others, m, P, Q, D, N)
+        form = _gf_form(P, Q, D, N, len(others))
+        outputs = _gf_graded(_gf_ladder(c, m, P, Q, D, N, form), c, others, m, P, Q, D, N, form)
         graded.update(((c, d), g) for d, g in zip(others, outputs))
         for a, b in pairs:
             if max(a, b) == c:  # both orders are in now

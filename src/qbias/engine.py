@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .kernel import (add_shifted, euler, jacobi, mul_trunc, pack_lanes, progression, quotient,
-                     rung, scaled_weights, ungrade, unpack_lanes)
+from .kernel import (Lists, Slots, euler, jacobi, mul_trunc, pack_lanes, progression, quotient,
+                     scaled_weights, ungrade, unpack_lanes)
 from .scalars import InvalidParameterError, nonneg_weight, positive_order, rational
 from .series import TruncatedSeries
 
@@ -93,24 +93,61 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
     return tuple(_class_side(sides, hi, m, P, Q, D, N))
 
 
-def _gf_ladder(a, m, P, Q, D, N):
+# Widest slot, in bits, at which the gf's ladder and Horner lists are packed
+# (kernel.Slots); wider entries stay in lists.  Ladder and Horner passes with
+# the prefactor stage, packed CPU time over list time, CPython 3.11 on a
+# 2-core x86-64 host.  One (2,5,6) run: 0.54-0.65 at W = 120-272 (x = y = 1,
+# N = 800-4000); 0.78-0.87 at W = 112-224 (x = 0, N = 2000-8000); with
+# x = 2, y = 1 (graded entries grow geometrically) 0.78 at W = 160, 0.91 at
+# 304, 0.96 at 336, 1.00 at 360 and 1.08 at 408; with x = 3/2, y = 1/2 0.84
+# at W = 248, 0.95 at 328, 1.02 at 344 and 1.10 at 408.  Every class of an
+# m = 6 sweep group, 5 partners each: 0.81-0.93 at W = 248-312, 0.83-0.95 at
+# 352 and 0.98 at 344 (x = 2, y = 1).
+_SLOT_BITS = 352
+
+
+def _total_bits(P, Q, D, N):
+    """Bit length of the largest graded p_n(x,y), n <= N: a bound on every
+    graded sum the gf takes below p_n(a,b,m;x,y) (see :func:`_gf_form`)."""
+    return max(_total_graded(P, Q, D, N)).bit_length()
+
+
+def _gf_form(P, Q, D, N, k):
+    """The form of the gf's ladder and Horner lists for a class with k
+    partners: :class:`kernel.Slots` of W bits when W <= ``_SLOT_BITS``,
+    else :class:`kernel.Lists`.  W is the bit length of the largest graded
+    p_n(x,y), n <= N, rounded up to whole bytes (why it holds every entry:
+    :func:`bias_series_gf`).  It reads the cached total, which the narrow
+    path (D = 1, x <= 1) takes for its prefactor and a factor-path class
+    with several partners for its lanes; a lone partner on the factor
+    path stays in lists without computing it."""
+    if (D == 1 and P <= 1) or k > 1:
+        wb = -(-_total_bits(P, Q, D, N) // 8)
+        if 8 * wb <= _SLOT_BITS:
+            return Slots(wb)
+    return Lists
+
+
+def _gf_ladder(a, m, P, Q, D, N, form=Lists):
     """The upward half of :func:`bias_series_gf` for class a: the rows
     A_k for k >= 1 as (offset, tail) pairs, the same for every partner
-    class b."""
-    rows = [(0, [1] + [0] * N)]  # (offset, tail): A_k from its lowest term on
+    class b, each tail in the form :func:`_gf_form` picks for the class."""
+    rows = [(0, form.pack([1]))]  # (offset, tail): A_k from its lowest term on
     while True:
         off, tail = rows[-1]
         k = len(rows)
         z = 0 if P else (k - 1) * m  # with x = 0, A_k starts y q^{(k-1)m} higher
-        tail = rung(tail, P, Q, D, a + z, (k - 1) * m - z, k * m, N - off)
-        if not any(tail):  # the first row that vanishes
+        tail = form.rung(tail, P, Q, D, a + z, (k - 1) * m - z, k * m, N - off)
+        # the first row that vanishes; a row's first entry is its lowest
+        # term, nonzero while the row is (weights are not both 0)
+        if not tail:
             break
         rows.append((off + a + z, tail))
     del rows[0]  # the sum starts at n1 = 1
     return rows
 
 
-def _gf_graded(rows, a, partners, m, P, Q, D, N):
+def _gf_graded(rows, a, partners, m, P, Q, D, N, form=Lists):
     """The downward half of :func:`bias_series_gf` on class a's rows: one
     Horner pass per partner class b, prefactor included, each giving
     p_n(a,b,m;x,y) D^n for n <= N.  The passes go down together and share
@@ -122,7 +159,9 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N):
     cum_n = n b, or n b + m n(n-1)/2 when x = 0; the coefficients above
     that cut never reach q^N, as in :func:`progression`'s own Horner sums.
     A partner whose cut falls below T_n's lowest power skips that level.
-    The suffix sums stay full, since S_1 enters T_0 up to q^N.
+    The suffix sums stay full, since S_1 enters T_0 up to q^N.  The lists
+    take the form of the rows (:func:`_gf_form`), and each T_0 is unpacked
+    once, before the prefactor.
 
     On the factor path (D > 1 or x >= 2, see :func:`bias_series_gf`) each
     T_0 first takes its own side (xq^b;q^m)_inf / (-yq^b;q^m)_inf, two
@@ -137,29 +176,27 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N):
     partner packs into one lane, which needs no K."""
     if not rows:
         return [[0] * (N + 1) for _ in partners]
-    accs = [[] for _ in partners]  # T_{n+1} from q^top on; [] stands for 0
-    off, suffix = N + 1, []  # nothing above the top row
+    accs = [form.zero for _ in partners]  # T_{n+1} from q^top on
+    off, suffix = N + 1, form.zero  # nothing above the top row
     for n in range(len(rows) - 1, -1, -1):
         z = 0 if P else n * m
         top = off
         off, tail = rows.pop()  # row n + 1 becomes the suffix S_{n+1}
-        add_shifted(tail, top - off, suffix)
-        suffix = tail
+        suffix = form.add(tail, top - off, suffix)
         for i, b in enumerate(partners):
             cut = N - n * b - (0 if P else m * n * (n - 1) // 2)
             # T_n starts above its cut and adds nothing; the cut rises and off
-            # falls as n falls, so only top levels skip, where accs[i] is []
+            # falls as n falls, so only top levels skip, where accs[i] is zero
             if cut < off:
                 continue
-            acc = suffix[:cut - off + 1]
-            step = rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
-            add_shifted(acc, top - off + b + z, step)
-            accs[i] = acc
+            step = form.rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
+            accs[i] = form.add(form.head(suffix, cut - off + 1), top - off + b + z, step)
+    accs = [form.unpack(acc, N - off + 1) for acc in accs]  # T_0 from q^off on
     if D == 1 and P <= 1:  # narrow ints; see bias_series_gf
         tails = [mul_trunc(_prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N), acc, N - off)
                  for b, acc in zip(partners, accs)]
     else:
-        K = max(_total_graded(P, Q, D, N)).bit_length() if len(partners) > 1 else 0
+        K = _total_bits(P, Q, D, N) if len(partners) > 1 else 0
         packed = pack_lanes([_class_side(acc, b, m, P, Q, D, N - off)
                              for b, acc in zip(partners, accs)], K)
         packed = _class_side(_weight_factors(packed, P, Q, D, N - off), a, m, P, Q, D, N - off)
@@ -192,6 +229,21 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     while the suffix sums fill every residue, so holding them all would
     take about m times the ints of the rows.
 
+    Both halves run on plain lists or, when the entries are narrow, on one
+    packed int per list (:class:`kernel.Slots`: entry j in the W-bit slot
+    at bit W j), where a step is a few big-int operations in place of one
+    Python operation an entry.  The slots stay exact because none carries.
+    With x, y >= 0 every row, suffix sum, partial sum T_n and partial
+    geometric sum inside a step is a non-negative sub-sum of the bias
+    series: T_n[j] <= T_0[j + cum_n], since each step's lowest coefficient
+    is a graded x or y, at least 1, and T_0 <= p(a,b,m;x,y), since the
+    prefactor has non-negative coefficients and constant term 1.  So every
+    graded entry is at most the largest graded p_n(x,y), n <= N, and W is
+    that bound's bit length in whole bytes.  Packing is faster up to
+    W = 352 bits and slower beyond (``_SLOT_BITS``, with the measured
+    ratios): the narrow path packs at every bench order, while graded and
+    x >= 2 entries pass that width near N = 200-350.
+
     T_0 is then multiplied by the product prefactor.  With x in {0, 1} and
     y an integer the lists hold narrow ints, and the cached prefactor times
     one :func:`mul_trunc` is cheapest; otherwise (D^n grading, or x >= 2)
@@ -199,12 +251,15 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     factors act on T_0 itself in place of a dense product: class b's side
     first, then (-yq;q)_inf / (xq;q)_inf and class a's side.  Here there is
     one partner, so the lane packing that lets a sweep's partners share the
-    last four factors costs two list copies and no bound.
+    last four factors costs two list copies and no bound, and on that path
+    the ladder and Horner lists stay plain, since their W would cost the
+    total's two progression passes.
     """
     positive_order(N)
     a, b, m = spec.a, spec.b, spec.m
     P, Q, D = scaled_weights(spec.x, spec.y)
-    [graded] = _gf_graded(_gf_ladder(a, m, P, Q, D, N), a, [b], m, P, Q, D, N)
+    form = _gf_form(P, Q, D, N, 1)
+    [graded] = _gf_graded(_gf_ladder(a, m, P, Q, D, N, form), a, [b], m, P, Q, D, N, form)
     return TruncatedSeries(ungrade(graded, D))
 
 

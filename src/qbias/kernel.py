@@ -10,7 +10,11 @@ divided out with one :func:`div_sparse` pass over their nonzero terms each.
 This module is the only place that multiplies such factors in, singly too
 (:func:`mul1`, :func:`div1`), that takes a step q^c (x + y q^e) / (1 - q^f)
 of a weight ladder (:func:`rung`), that shifts or multiplies lists, and
-that packs several lists into the bit lanes of one (:func:`pack_lanes`).
+that packs lists into integers: several lists into the bit lanes of one
+list (:func:`pack_lanes`), a list into the byte slots of one int for
+Kronecker products (:func:`mul_trunc`), and a non-negative list into the
+slots of one int that the ladder step, shifted adds and cuts act on
+directly (:class:`Slots`, with :class:`Lists` the same steps on lists).
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
@@ -201,6 +205,12 @@ def _pack(co, wb):
     return packed
 
 
+def _unpack(v, n, wb):
+    """The n slots of wb bytes of a non-negative v < 2^(8*wb*n), lowest first."""
+    buf = v.to_bytes(wb * n, "little")
+    return [int.from_bytes(buf[i:i + wb], "little") for i in range(0, wb * n, wb)]
+
+
 def _kronecker(a, b, N, wb):
     """a * b truncated at N through one integer multiply, wb bytes a slot.
 
@@ -212,8 +222,87 @@ def _kronecker(a, b, N, wb):
     half = 1 << (8 * wb - 1)
     bias = int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
     prod = (_pack(a, wb) * _pack(b, wb) + bias) & ((1 << (8 * wb * n)) - 1)
-    buf = prod.to_bytes(wb * n, "little")
-    return [int.from_bytes(buf[i:i + wb], "little") - half for i in range(0, wb * n, wb)]
+    return [v - half for v in _unpack(prod, n, wb)]
+
+
+class Lists:
+    """The gf's ladder and Horner lists as plain lists: entry j of a list
+    from q^o on is the graded coefficient at q^(o+j).  :class:`Slots` has
+    the same members on one packed int, so one loop serves both."""
+
+    zero = ()
+
+    @staticmethod
+    def pack(co):
+        return co
+
+    @staticmethod
+    def unpack(co, n):
+        return co
+
+    rung = staticmethod(rung)
+
+    @staticmethod
+    def add(out, off, seg):
+        add_shifted(out, off, seg)
+        return out
+
+    @staticmethod
+    def head(co, n):
+        return co[:n]
+
+
+class Slots:
+    """The gf's ladder and Horner lists packed as one non-negative int,
+    entry j in the W-bit slot at bit W*j, W = 8*wb (Kronecker substitution;
+    D. Harvey, J. Symbolic Comput. 44 (2009)).  A step is then a few big-int
+    operations in place of one Python operation an entry.
+
+    Exact only while every entry on the way lies in [0, 2^W): a slot that
+    overflows carries into the next.  That holds for non-negative weights
+    and inputs when W bounds the result, since every partial sum taken
+    below is a sub-sum of it.  A list of n entries is an int below
+    2^(W*n); :meth:`add` and the steps keep to the length they are given.
+    """
+
+    zero = 0
+
+    def __init__(self, wb):
+        self.wb, self.W = wb, 8 * wb
+
+    def pack(self, co):
+        return _pack(co, self.wb)
+
+    def unpack(self, co, n):
+        """The first n entries as a list."""
+        return _unpack(co, n, self.wb)
+
+    def rung(self, co, P, Q, D, c, e, f, N):
+        """:func:`rung` on packed slots: the x and y terms are a small-int
+        multiply and a shifted add, and 1/(1 - D^f q^f) is the doubling
+        product of (1 + D^(f 2^i) q^(f 2^i)) over f 2^i <= N - c, each
+        factor cut at the N - c + 1 slots of the result."""
+        n = N - c
+        if n < 0:
+            return 0
+        W, mask = self.W, (1 << self.W * (n + 1)) - 1
+        co &= mask
+        w = P * D ** (c - 1)
+        out = co if w == 1 else co * w  # a multiply by 1 still copies
+        if Q and e <= n:
+            w = Q * D ** (c + e - 1)
+            out = (out + ((co if w == 1 else co * w) << W * e)) & mask
+        while f <= n:  # D^f is formed only here, as in rung
+            out = (out + ((out if D == 1 else out * D**f) << W * f)) & mask
+            f *= 2
+        return out
+
+    def add(self, out, off, seg):
+        """out + seg shifted up off slots; the sum must fit out's length."""
+        return out + (seg << self.W * off)
+
+    def head(self, co, n):
+        return co & ((1 << self.W * n) - 1)
 
 
 def pack_lanes(lanes, K):

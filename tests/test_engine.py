@@ -1,6 +1,7 @@
 """Cross-method agreement and landmark values for the bias engines."""
 
 import inspect
+import math
 import re
 
 import pytest
@@ -26,7 +27,7 @@ import qbias.oracle
 import qbias.engine as engine
 from qbias.engine import (_class_side, _gf_graded, _gf_ladder, _prefactor_graded, _total_graded,
                           _weight_factors)
-from qbias.kernel import add_shifted, div1, mul_trunc, scaled_weights, ungrade
+from qbias.kernel import Lists, Slots, add_shifted, div1, mul_trunc, scaled_weights, ungrade
 from reference import add, shift
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
@@ -153,8 +154,25 @@ def dense_double_sum(spec, N):
     return TruncatedSeries(ungrade(graded, D))
 
 
-@pytest.mark.parametrize("N", [1, 2, 13, 60])
-def test_gf_matches_dense_double_sum(N):
+def in_both_forms(orders):
+    """Each order N with the gf's crossover ``_SLOT_BITS`` unbounded, id N,
+    and at 0, id N-lists.  Every order here sits below the crossover, so
+    unbounded is the form the gf picks (kernel.Slots wherever it computes
+    the width) and 0 keeps the plain lists covered."""
+    return pytest.mark.parametrize("N, slot_bits", [
+        pytest.param(N, bits, id=f"{N}{tag}")
+        for bits, tag in ((math.inf, ""), (0, "-lists")) for N in orders])
+
+
+def gf_graded(c, partners, m, P, Q, D, N):
+    # class c's ladder and Horner passes in the form a sweep group picks
+    form = engine._gf_form(P, Q, D, N, len(partners))
+    return _gf_graded(_gf_ladder(c, m, P, Q, D, N, form), c, partners, m, P, Q, D, N, form)
+
+
+@in_both_forms([1, 2, 13, 60])
+def test_gf_matches_dense_double_sum(N, slot_bits, monkeypatch):
+    monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
     # every a != b with m <= 6, plus classes and moduli beyond N; x = 0,
     # y = 0, denominators 2 and 3, and weights on both sides of the gf's
     # final-multiply split
@@ -171,8 +189,9 @@ def test_gf_matches_dense_double_sum(N):
             assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), spec
 
 
-@pytest.mark.parametrize("N", [1, 2, 13, 60])
-def test_gf_graded_partners_match_single_runs_and_dense_sum(N):
+@in_both_forms([1, 2, 13, 60])
+def test_gf_graded_partners_match_single_runs_and_dense_sum(N, slot_bits, monkeypatch):
+    monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
     # one ladder, many partners given out of order: each partner's Horner
     # pass stops at its own cut N - cum_n, with partners b > N/2 and b > N,
     # m > N, x = 0 (the quadratic cut), y = 0 and D = 1, 2, 3
@@ -186,29 +205,34 @@ def test_gf_graded_partners_match_single_runs_and_dense_sum(N):
         partners = partners[1::2] + partners[::-2]  # out of order
         for xy in weights:
             P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
-            together = _gf_graded(_gf_ladder(c, m, P, Q, D, N), c, partners, m, P, Q, D, N)
+            together = gf_graded(c, partners, m, P, Q, D, N)
             for b, graded in zip(partners, together):
-                [alone] = _gf_graded(_gf_ladder(c, m, P, Q, D, N), c, [b], m, P, Q, D, N)
+                [alone] = gf_graded(c, [b], m, P, Q, D, N)
                 assert graded == alone, (c, b, m, xy)
                 dense = dense_double_sum(BiasSpec(c, b, m, *xy), N)
                 assert ungrade(graded, D) == dense.coeffs, (c, b, m, xy)
 
 
-@pytest.mark.parametrize("N", [13, 60])
-def test_gf_graded_lanes_fill_their_width(N):
+@in_both_forms([13, 14, 60])
+def test_gf_graded_lanes_fill_their_width(N, slot_bits, monkeypatch):
     # class 1 against partners beyond N, where p_n(1,b) nearly equals the
     # total p_n(x,y), and below it: with x = 5/2 (D = 2) or an integer
     # x >= 2 every lane needs all K bits of the bound, so the packed
-    # factor path runs at its width
+    # factor path runs at its width.  The slots round K up to whole bytes;
+    # K = 16, 32 and 64 (N = 13, 60) fill them, and K = 17 (N = 14) needs
+    # the byte that one bit fewer would leave out
+    monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
     m = N + 3
     partners = [N + 1, 2, N + 2, 3, N // 2]
     for xy in [(rational(5, 2), rational(1, 2)), (rational(5, 2), 0), (2, 1), (3, 0)]:
         P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
         K = max(_total_graded(P, Q, D, N)).bit_length()
-        together = _gf_graded(_gf_ladder(1, m, P, Q, D, N), 1, partners, m, P, Q, D, N)
+        form = engine._gf_form(P, Q, D, N, len(partners))
+        assert form.W == 8 * -(-K // 8) if slot_bits else form is Lists, xy
+        together = gf_graded(1, partners, m, P, Q, D, N)
         assert [max(g).bit_length() for g in together] == [K] * len(partners), xy
         for b, graded in zip(partners, together):
-            [alone] = _gf_graded(_gf_ladder(1, m, P, Q, D, N), 1, [b], m, P, Q, D, N)
+            [alone] = gf_graded(1, [b], m, P, Q, D, N)
             assert graded == alone, (b, xy)
             dense = dense_double_sum(BiasSpec(1, b, m, *xy), N)
             assert ungrade(graded, D) == dense.coeffs, (b, xy)
@@ -327,6 +351,10 @@ def test_gf_modulus_beyond_order():
     x = rational(3, 2)
     want = bias_series_gf(BiasSpec(1, 2, 21, x, 1), 20).coeffs
     assert bias_series_gf(BiasSpec(1, 2, 10**8, x, 1), 20).coeffs == want
+    # nor in packed slots, which a class with several partners takes
+    P, Q, D = scaled_weights(x, rational(1))
+    assert isinstance(engine._gf_form(P, Q, D, 20, 2), Slots)
+    assert gf_graded(1, [2, 3], 10**8, P, Q, D, 20) == gf_graded(1, [2, 3], 21, P, Q, D, 20)
 
 
 def test_symmetric_distinct_pair_swap():

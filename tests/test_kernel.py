@@ -1,7 +1,7 @@
 """The truncated list multiply against naive loops; the ladder step's
-offset convention; the bit-lane packing under a linear factor; the
-progression products and the sparse Euler, Jacobi and division passes
-against dense q-product tables."""
+offset convention, on lists and on packed slots; the bit-lane packing
+under a linear factor; the progression products and the sparse Euler,
+Jacobi and division passes against dense q-product tables."""
 
 from fractions import Fraction
 
@@ -164,6 +164,31 @@ def test_rung_edges():
         assert got == dense_rung(co, 0, 5, 3, 1, e, 7, 9)[1:]
     # a short input is read as zero past its end
     assert rung([1], 1, 0, 1, 1, 0, 2, 6) == [1, 0, 1, 0, 1, 0]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_slots_rung_matches_the_list_step(D):
+    # the packed step against rung on the non-negative cases above, at the
+    # byte-rounded width of the widest entry read or made: tails from q^o,
+    # c > N (empty, the int 0), x = 0 with the y term at e >= 1, f > N - c
+    # (no geometric factor to cut the slots above q^(N-c)) and an input
+    # shorter than the N - c + 1 entries read
+    N = 30
+    cases = []
+    for o in (0, 1, 4, 11):
+        tail = [3 * j + 1 for j in range(N - o + 1)]
+        for P, Q in ((3, 5), (0, 5), (3, 0)):
+            for c, e, f in ((1, 0, 1), (2, 3, 4), (5, 0, 2), (3, 9, 31), (N - o + 1, 0, 1)):
+                cases.append((tail, P, Q, c, e, f, N - o))
+    co = [2, 1, 4, 0, 3]
+    cases += [(co, 3, 5, c, 0, 1, 4) for c in (4, 5, 6, 100)]
+    cases += [(co, 0, 5, 1, e, 7, 9) for e in (0, 1, 3)]
+    cases += [([1], 1, 0, 1, 0, 2, 6), ([1], 1, 1, 1, 2, 3, 8)]
+    for co, P, Q, c, e, f, n in cases:
+        want = rung(co, P, Q, D, c, e, f, n)
+        slots = kernel.Slots(-(-max(co + want).bit_length() // 8))
+        got = slots.rung(slots.pack(co), P, Q, D, c, e, f, n)
+        assert slots.unpack(got, len(want)) == want, (co, P, Q, c, e, f, n)
 
 
 @pytest.mark.parametrize("K", [1, 3, 64])
