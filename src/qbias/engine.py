@@ -93,6 +93,13 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
     return tuple(_class_side(sides, hi, m, P, Q, D, N))
 
 
+@lru_cache(maxsize=64)
+def _prefactor_packed(lo, hi, m, P, Q, D, N, wb):
+    """:func:`_prefactor_graded` packed in slots of wb bytes
+    (:class:`kernel.Slots`), for the gf's narrow-path final multiply."""
+    return Slots(wb).pack(_prefactor_graded(lo, hi, m, P, Q, D, N))
+
+
 # Widest slot, in bits, at which the gf's ladder and Horner lists are packed
 # (kernel.Slots); wider entries stay in lists.  Ladder and Horner passes with
 # the prefactor stage, packed CPU time over list time, CPython 3.11 on a
@@ -160,8 +167,20 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N, form=Lists):
     that cut never reach q^N, as in :func:`progression`'s own Horner sums.
     A partner whose cut falls below T_n's lowest power skips that level.
     The suffix sums stay full, since S_1 enters T_0 up to q^N.  The lists
-    take the form of the rows (:func:`_gf_form`), and each T_0 is unpacked
-    once, before the prefactor.
+    take the form of the rows (:func:`_gf_form`).
+
+    On the narrow path (D = 1, x in {0, 1}) the prefactor goes into each
+    T_0 as one int product: the cached prefactor packed in W-bit slots,
+    W = 8 wb with wb the bit length of the largest graded p_n(x,y), n <= N,
+    in whole bytes, times T_0 in the same slots (packed first when the rows
+    are lists), masked at the N - off + 1 slots of the result and unpacked
+    once.  W needs no sign bias and no wider slot.  The prefactor is the
+    product over the m - 2 other classes r of (-yq^r;q^m)_inf /
+    (xq^r;q^m)_inf, a sub-product of the total, so its coefficients lie in
+    [0, p_n(x,y)]; every product coefficient up to q^(N - off) is a graded
+    p_n(a,b,m;x,y) < 2^W; and carries in a product of non-negative ints
+    move only upward, so the slots below the mask are exact.  Elsewhere
+    each T_0 is unpacked once, before the prefactor.
 
     On the factor path (D > 1 or x >= 2, see :func:`bias_series_gf`) each
     T_0 first takes its own side (xq^b;q^m)_inf / (-yq^b;q^m)_inf, two
@@ -191,11 +210,15 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N, form=Lists):
                 continue
             step = form.rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
             accs[i] = form.add(form.head(suffix, cut - off + 1), top - off + b + z, step)
-    accs = [form.unpack(acc, N - off + 1) for acc in accs]  # T_0 from q^off on
+    length = N - off + 1  # T_0 from q^off on
     if D == 1 and P <= 1:  # narrow ints; see bias_series_gf
-        tails = [mul_trunc(_prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N), acc, N - off)
+        slots = Slots(-(-_total_bits(P, Q, D, N) // 8))
+        mask = (1 << slots.W * length) - 1
+        tails = [slots.unpack((_prefactor_packed(min(a, b), max(a, b), m, P, Q, D, N, slots.wb)
+                               * (acc if isinstance(form, Slots) else slots.pack(acc))) & mask, length)
                  for b, acc in zip(partners, accs)]
     else:
+        accs = [form.unpack(acc, length) for acc in accs]
         K = _total_bits(P, Q, D, N) if len(partners) > 1 else 0
         packed = pack_lanes([_class_side(acc, b, m, P, Q, D, N - off)
                              for b, acc in zip(partners, accs)], K)
@@ -245,8 +268,9 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     x >= 2 entries pass that width near N = 200-350.
 
     T_0 is then multiplied by the product prefactor.  With x in {0, 1} and
-    y an integer the lists hold narrow ints, and the cached prefactor times
-    one :func:`mul_trunc` is cheapest; otherwise (D^n grading, or x >= 2)
+    y an integer the lists hold narrow ints, and the cached prefactor,
+    packed at the slot width W, times the packed T_0 as one int product is
+    cheapest (:func:`_gf_graded`); otherwise (D^n grading, or x >= 2)
     their entries grow geometrically, and the prefactor's six progression
     factors act on T_0 itself in place of a dense product: class b's side
     first, then (-yq;q)_inf / (xq;q)_inf and class a's side.  Here there is

@@ -164,6 +164,16 @@ def in_both_forms(orders):
         for bits, tag in ((math.inf, ""), (0, "-lists")) for N in orders])
 
 
+def forbid_mul_trunc(monkeypatch):
+    # the gf takes its prefactor as one packed int product (x in {0, 1},
+    # integer y) or factor by factor, never through mul_trunc, in either
+    # form; dense_double_sum applies it with mul_trunc itself
+    def fail(*args):
+        raise AssertionError("the gf called mul_trunc")
+
+    monkeypatch.setattr(engine, "mul_trunc", fail)
+
+
 def gf_graded(c, partners, m, P, Q, D, N):
     # class c's ladder and Horner passes in the form a sweep group picks
     form = engine._gf_form(P, Q, D, N, len(partners))
@@ -173,6 +183,7 @@ def gf_graded(c, partners, m, P, Q, D, N):
 @in_both_forms([1, 2, 13, 60])
 def test_gf_matches_dense_double_sum(N, slot_bits, monkeypatch):
     monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
+    forbid_mul_trunc(monkeypatch)
     # every a != b with m <= 6, plus classes and moduli beyond N; x = 0,
     # y = 0, denominators 2 and 3, and weights on both sides of the gf's
     # final-multiply split
@@ -192,6 +203,7 @@ def test_gf_matches_dense_double_sum(N, slot_bits, monkeypatch):
 @in_both_forms([1, 2, 13, 60])
 def test_gf_graded_partners_match_single_runs_and_dense_sum(N, slot_bits, monkeypatch):
     monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
+    forbid_mul_trunc(monkeypatch)
     # one ladder, many partners given out of order: each partner's Horner
     # pass stops at its own cut N - cum_n, with partners b > N/2 and b > N,
     # m > N, x = 0 (the quadratic cut), y = 0 and D = 1, 2, 3
@@ -236,6 +248,35 @@ def test_gf_graded_lanes_fill_their_width(N, slot_bits, monkeypatch):
             assert graded == alone, (b, xy)
             dense = dense_double_sum(BiasSpec(1, b, m, *xy), N)
             assert ungrade(graded, D) == dense.coeffs, (b, xy)
+
+
+def test_prefactor_is_bounded_by_the_total():
+    # the narrow path's packed product is exact at the total's width only
+    # because the prefactor, a sub-product of the total over the other
+    # classes, has coefficients in [0, total]
+    N = 200
+    for P, Q in [(x, y) for x in (0, 1) for y in range(4) if x or y]:
+        total = _total_graded(P, Q, 1, N)
+        for m in range(2, 8):
+            for lo in range(1, m):
+                for hi in range(lo + 1, m + 1):
+                    prefactor = _prefactor_graded(lo, hi, m, P, Q, 1, N)
+                    assert all(0 <= c <= t for c, t in zip(prefactor, total)), (lo, hi, m, P, Q)
+                    assert len(prefactor) == len(total) == N + 1
+
+
+@in_both_forms([600])
+def test_symmetric_closed_forms_match_the_gf_at_depth(N, slot_bits, monkeypatch):
+    # coefficients here are 54-99 bits wide, past one machine word, which
+    # the forced-form tests above never reach
+    monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
+    widest = 0
+    for a, m in [(1, 3), (2, 5)]:
+        for flavor, xy in engine.FLAVOR_XY.items():
+            sym = bias_series_symmetric(a, m, flavor, N).coeffs
+            assert sym == bias_series_gf(BiasSpec(a, m - a, m, *xy), N).coeffs, (a, m, flavor)
+            widest = max(widest, max(sym).bit_length())
+    assert widest > 64
 
 
 def test_factor_path_pass_count(monkeypatch):
