@@ -14,9 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 from .biasspec import BiasSpec
 from .engine import (
-    _gf_form,
     _gf_graded,
-    _gf_ladder,
     _prefactor_graded,
     bias_series_dp,
     bias_series_gf,
@@ -119,7 +117,7 @@ def _expand_f_series(params, N):
     _require(x >= 1, "need x >= 1")
     _require((a, b) != (1, 2), "the claim excludes (a, b) = (1, 2)")
     P, Q, D = scaled_weights(x, y)
-    co = list(_prefactor_graded(a, b, m, P, Q, D, N))
+    co = _prefactor_graded(a, b, m, P, Q, D, N)
     if b - a <= N:
         mul1(co, b - a, -D ** (b - a), N)  # * (1 - q^{b-a}), graded
     return TruncatedSeries(ungrade(co, D))
@@ -367,8 +365,7 @@ def _sweep_group(task):
     graded, out = {}, {}
     for c in sorted(partners):
         others = partners[c]
-        form = _gf_form(P, Q, D, N, len(others))
-        outputs = _gf_graded(_gf_ladder(c, m, P, Q, D, N, form), c, others, m, P, Q, D, N, form)
+        outputs = _gf_graded(c, others, m, P, Q, D, N)
         graded.update(((c, d), g) for d, g in zip(others, outputs))
         for a, b in pairs:
             if max(a, b) == c:  # both orders are in now

@@ -76,27 +76,28 @@ def total_weighted_series(x, y, N: int) -> TruncatedSeries:
 
 def _class_side(co, s, m, P, Q, D, N):
     """co * (xq^s;q^m)_inf / (-yq^s;q^m)_inf on a graded list, as a new
-    list; a list from q^o on takes N - o as N.  The cached
-    :func:`_prefactor_graded` takes both classes' sides, and the gf's
-    factor path takes them apart (:func:`_gf_graded`)."""
+    list; a list from q^o on takes N - o as N.  :func:`_prefactor_graded`
+    takes both classes' sides, and the gf's factor path takes them apart
+    (:func:`_gf_graded`)."""
     return progression(progression(co, -P, s, m, 1, D, N), Q, s, m, -1, D, N)
 
 
-@lru_cache(maxsize=64)
 def _prefactor_graded(lo, hi, m, P, Q, D, N):
-    """Graded coefficients of the double sum's product prefactor.
+    """Graded coefficients of the double sum's product prefactor, as a new
+    list.
 
     (-yq;q)_inf (xq^a, xq^b; q^m)_inf / ((xq;q)_inf (-yq^a, -yq^b; q^m)_inf);
     symmetric under a <-> b, so callers pass the classes as lo <= hi.
     """
     sides = _class_side(_total_graded(P, Q, D, N), lo, m, P, Q, D, N)
-    return tuple(_class_side(sides, hi, m, P, Q, D, N))
+    return _class_side(sides, hi, m, P, Q, D, N)
 
 
 @lru_cache(maxsize=64)
 def _prefactor_packed(lo, hi, m, P, Q, D, N, wb):
     """:func:`_prefactor_graded` packed in slots of wb bytes
-    (:class:`kernel.Slots`), for the gf's narrow-path final multiply."""
+    (:class:`kernel.Slots`), for the gf's narrow-path final multiply; the
+    prefactor's one cache."""
     return Slots(wb).pack(_prefactor_graded(lo, hi, m, P, Q, D, N))
 
 
@@ -113,32 +114,10 @@ def _prefactor_packed(lo, hi, m, P, Q, D, N, wb):
 _SLOT_BITS = 352
 
 
-def _total_bits(P, Q, D, N):
-    """Bit length of the largest graded p_n(x,y), n <= N: a bound on every
-    graded sum the gf takes below p_n(a,b,m;x,y) (see :func:`_gf_form`)."""
-    return max(_total_graded(P, Q, D, N)).bit_length()
-
-
-def _gf_form(P, Q, D, N, k):
-    """The form of the gf's ladder and Horner lists for a class with k
-    partners: :class:`kernel.Slots` of W bits when W <= ``_SLOT_BITS``,
-    else :class:`kernel.Lists`.  W is the bit length of the largest graded
-    p_n(x,y), n <= N, rounded up to whole bytes (why it holds every entry:
-    :func:`bias_series_gf`).  It reads the cached total, which the narrow
-    path (D = 1, x <= 1) takes for its prefactor and a factor-path class
-    with several partners for its lanes; a lone partner on the factor
-    path stays in lists without computing it."""
-    if (D == 1 and P <= 1) or k > 1:
-        wb = -(-_total_bits(P, Q, D, N) // 8)
-        if 8 * wb <= _SLOT_BITS:
-            return Slots(wb)
-    return Lists
-
-
-def _gf_ladder(a, m, P, Q, D, N, form=Lists):
+def _gf_ladder(a, m, P, Q, D, N, form):
     """The upward half of :func:`bias_series_gf` for class a: the rows
-    A_k for k >= 1 as (offset, tail) pairs, the same for every partner
-    class b, each tail in the form :func:`_gf_form` picks for the class."""
+    A_k for k >= 1 as (offset, tail) pairs, each tail in ``form``, the same
+    for every partner class b."""
     rows = [(0, form.pack([1]))]  # (offset, tail): A_k from its lowest term on
     while True:
         off, tail = rows[-1]
@@ -154,45 +133,38 @@ def _gf_ladder(a, m, P, Q, D, N, form=Lists):
     return rows
 
 
-def _gf_graded(rows, a, partners, m, P, Q, D, N, form=Lists):
-    """The downward half of :func:`bias_series_gf` on class a's rows: one
-    Horner pass per partner class b, prefactor included, each giving
-    p_n(a,b,m;x,y) D^n for n <= N.  The passes go down together and share
-    the suffix sums, which are built in the rows' place as they are read,
-    so the rows are used up.
+def _gf_graded(a, partners, m, P, Q, D, N):
+    """p_n(a,b,m;x,y) D^n for n <= N, one list per partner class b of
+    class a, by :func:`bias_series_gf`: class a's ladder is built once, and
+    one Horner pass per partner goes down it, prefactor included.  The
+    passes go down together and share the suffix sums, which are built in
+    the rows' place as they are read, so the rows are used up.
+
+    The width W of :func:`bias_series_gf` is decided once, at the top, and
+    serves three uses: the form of the ladder and Horner lists, the narrow
+    path's product slots and the factor path's lanes.  A lone partner on
+    the factor path uses none of them and computes no W.
 
     T_n reaches T_0 only through the steps j < n, whose multipliers start
     at q^{b + z_j}, so each partner keeps T_n only up to q^{N - cum_n} with
     cum_n = n b, or n b + m n(n-1)/2 when x = 0; the coefficients above
     that cut never reach q^N, as in :func:`progression`'s own Horner sums.
     A partner whose cut falls below T_n's lowest power skips that level.
-    The suffix sums stay full, since S_1 enters T_0 up to q^N.  The lists
-    take the form of the rows (:func:`_gf_form`).
+    The suffix sums stay full, since S_1 enters T_0 up to q^N.
 
-    On the narrow path (D = 1, x in {0, 1}) the prefactor goes into each
-    T_0 as one int product: the cached prefactor packed in W-bit slots,
-    W = 8 wb with wb the bit length of the largest graded p_n(x,y), n <= N,
-    in whole bytes, times T_0 in the same slots (packed first when the rows
-    are lists), masked at the N - off + 1 slots of the result and unpacked
-    once.  W needs no sign bias and no wider slot.  The prefactor is the
-    product over the m - 2 other classes r of (-yq^r;q^m)_inf /
-    (xq^r;q^m)_inf, a sub-product of the total, so its coefficients lie in
-    [0, p_n(x,y)]; every product coefficient up to q^(N - off) is a graded
-    p_n(a,b,m;x,y) < 2^W; and carries in a product of non-negative ints
-    move only upward, so the slots below the mask are exact.  Elsewhere
-    each T_0 is unpacked once, before the prefactor.
-
-    On the factor path (D > 1 or x >= 2, see :func:`bias_series_gf`) each
-    T_0 first takes its own side (xq^b;q^m)_inf / (-yq^b;q^m)_inf, two
-    :func:`progression` passes.  The rest of the prefactor,
-    (-yq;q)_inf / (xq;q)_inf and class a's side, is the same for every
-    partner, so the partners are packed into the K-bit lanes of one list
-    (:func:`pack_lanes`), those four passes act on it once, and the lanes
-    are unpacked: 2k + 4 passes for k partners in place of 6k.  The passes
-    are Z-linear, so only the final lanes must fit, and they do with K the
-    bit length of the largest graded p_n(x,y), n <= N, since
-    0 <= p_n(a,b,m;x,y) <= p_n(x,y) for non-negative weights.  A lone
-    partner packs into one lane, which needs no K."""
+    On the narrow path each T_0 (packed at W first when the lists are
+    plain) times the cached packed prefactor is masked at the N - off + 1
+    slots of the result and unpacked once.  On the factor path each T_0 is
+    unpacked, takes its own side (xq^b;q^m)_inf / (-yq^b;q^m)_inf, and the
+    partners, packed into the W-bit lanes of one list (:func:`pack_lanes`),
+    take (-yq;q)_inf / (xq;q)_inf and class a's side together before the
+    lanes are unpacked: 2k + 4 progression passes for k partners."""
+    narrow = D == 1 and P <= 1  # x in {0, 1} and integer y; see bias_series_gf
+    wb = 0  # W in whole bytes
+    if narrow or len(partners) > 1:
+        wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
+    form = Slots(wb) if 0 < 8 * wb <= _SLOT_BITS else Lists
+    rows = _gf_ladder(a, m, P, Q, D, N, form)
     if not rows:
         return [[0] * (N + 1) for _ in partners]
     accs = [form.zero for _ in partners]  # T_{n+1} from q^top on
@@ -211,19 +183,18 @@ def _gf_graded(rows, a, partners, m, P, Q, D, N, form=Lists):
             step = form.rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
             accs[i] = form.add(form.head(suffix, cut - off + 1), top - off + b + z, step)
     length = N - off + 1  # T_0 from q^off on
-    if D == 1 and P <= 1:  # narrow ints; see bias_series_gf
-        slots = Slots(-(-_total_bits(P, Q, D, N) // 8))
+    if narrow:
+        slots = Slots(wb)
         mask = (1 << slots.W * length) - 1
-        tails = [slots.unpack((_prefactor_packed(min(a, b), max(a, b), m, P, Q, D, N, slots.wb)
-                               * (acc if isinstance(form, Slots) else slots.pack(acc))) & mask, length)
+        tails = [slots.unpack((_prefactor_packed(min(a, b), max(a, b), m, P, Q, D, N, wb)
+                               * (slots.pack(acc) if form is Lists else acc)) & mask, length)
                  for b, acc in zip(partners, accs)]
     else:
         accs = [form.unpack(acc, length) for acc in accs]
-        K = _total_bits(P, Q, D, N) if len(partners) > 1 else 0
         packed = pack_lanes([_class_side(acc, b, m, P, Q, D, N - off)
-                             for b, acc in zip(partners, accs)], K)
+                             for b, acc in zip(partners, accs)], 8 * wb)
         packed = _class_side(_weight_factors(packed, P, Q, D, N - off), a, m, P, Q, D, N - off)
-        tails = unpack_lanes(packed, len(partners), K)
+        tails = unpack_lanes(packed, len(partners), 8 * wb)
     return [[0] * off + tail for tail in tails]
 
 
@@ -252,38 +223,44 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     while the suffix sums fill every residue, so holding them all would
     take about m times the ints of the rows.
 
-    Both halves run on plain lists or, when the entries are narrow, on one
-    packed int per list (:class:`kernel.Slots`: entry j in the W-bit slot
-    at bit W j), where a step is a few big-int operations in place of one
-    Python operation an entry.  The slots stay exact because none carries.
-    With x, y >= 0 every row, suffix sum, partial sum T_n and partial
-    geometric sum inside a step is a non-negative sub-sum of the bias
-    series: T_n[j] <= T_0[j + cum_n], since each step's lowest coefficient
-    is a graded x or y, at least 1, and T_0 <= p(a,b,m;x,y), since the
-    prefactor has non-negative coefficients and constant term 1.  So every
-    graded entry is at most the largest graded p_n(x,y), n <= N, and W is
-    that bound's bit length in whole bytes.  Packing is faster up to
-    W = 352 bits and slower beyond (``_SLOT_BITS``, with the measured
-    ratios): the narrow path packs at every bench order, while graded and
+    One width bounds every graded entry the gf holds.  With x, y >= 0
+    every row, suffix sum, partial sum T_n and partial geometric sum inside
+    a step is a non-negative sub-sum of the bias series:
+    T_n[j] <= T_0[j + cum_n], since each step's lowest coefficient is a
+    graded x or y, at least 1, and T_0 <= p(a,b,m;x,y), since the
+    prefactor has non-negative coefficients and constant term 1.  And
+    0 <= p_n(a,b,m;x,y) <= p_n(x,y).  So every entry is below 2^W, with W
+    the bit length of the largest graded p_n(x,y), n <= N, rounded up to
+    whole bytes.  W serves three uses.  Both halves run on one packed int
+    per list (:class:`kernel.Slots`: entry j in the W-bit slot at bit W j),
+    where a step is a few big-int operations in place of one Python
+    operation an entry, when W is at most ``_SLOT_BITS`` = 352 bits (the
+    measured ratios are there), and on plain lists otherwise; no slot
+    carries.  The narrow path packs at every bench order, while graded and
     x >= 2 entries pass that width near N = 200-350.
 
     T_0 is then multiplied by the product prefactor.  With x in {0, 1} and
-    y an integer the lists hold narrow ints, and the cached prefactor,
-    packed at the slot width W, times the packed T_0 as one int product is
-    cheapest (:func:`_gf_graded`); otherwise (D^n grading, or x >= 2)
-    their entries grow geometrically, and the prefactor's six progression
-    factors act on T_0 itself in place of a dense product: class b's side
-    first, then (-yq;q)_inf / (xq;q)_inf and class a's side.  Here there is
-    one partner, so the lane packing that lets a sweep's partners share the
-    last four factors costs two list copies and no bound, and on that path
-    the ladder and Horner lists stay plain, since their W would cost the
-    total's two progression passes.
+    y an integer (the narrow path) the lists hold narrow ints, and the
+    cached prefactor, packed in W-bit slots, times the packed T_0 is one int
+    product.  The prefactor is the product over the m - 2 other classes r of
+    (-yq^r;q^m)_inf / (xq^r;q^m)_inf, a sub-product of the total, so its
+    coefficients lie in [0, p_n(x,y)]; every product coefficient up to
+    q^(N - off) is a graded p_n(a,b,m;x,y) < 2^W; and carries of
+    non-negative ints move only upward, so the slots kept, T_0's length,
+    are exact with no sign bias or wider slot.  Otherwise (D^n grading, or
+    x >= 2, the factor path) the entries grow geometrically, and the
+    prefactor's six progression factors act on T_0 itself in place of a
+    dense product: class b's side first, then (-yq;q)_inf / (xq;q)_inf and
+    class a's side.  Those last four are the same for every partner, so a
+    sweep's partners share them packed into the W-bit lanes of one list
+    (:func:`pack_lanes`); the passes are Z-linear, so only the final lanes,
+    graded p_n(a,b,m;x,y), must fit.  A lone partner packs into one lane,
+    which needs no W, and on that path the ladder and Horner lists stay
+    plain, since their W would cost the total's two progression passes.
     """
     positive_order(N)
-    a, b, m = spec.a, spec.b, spec.m
     P, Q, D = scaled_weights(spec.x, spec.y)
-    form = _gf_form(P, Q, D, N, 1)
-    [graded] = _gf_graded(_gf_ladder(a, m, P, Q, D, N, form), a, [b], m, P, Q, D, N, form)
+    [graded] = _gf_graded(spec.a, [spec.b], spec.m, P, Q, D, N)
     return TruncatedSeries(ungrade(graded, D))
 
 
@@ -476,9 +453,12 @@ def compare_bias(spec: BiasSpec, N: int, method: str = "gf") -> BiasReport:
 
 
 def monotonicity_check(values, m: int):
-    """Check c_{n+m} >= c_n along a sequence; returns (ok, first bad index)."""
+    """Check c_{n+m} >= c_n along a sequence; returns (ok, first bad index).
+    A sequence of at most m terms has no such pair to compare and is refused."""
     if not isinstance(m, int) or m < 1:
         raise InvalidParameterError("modulus must be a positive integer")
+    if len(values) <= m:
+        raise InvalidParameterError("monotonicity compares c_n with c_{n+m}: need more than m terms")
     for n in range(len(values) - m):
         if values[n + m] < values[n]:
             return False, n

@@ -285,7 +285,11 @@ def graded_lists(draw):
 @example((3, [1, 2, 8]), 2)  # c_2 = 8/9 < c_0 = 1, though 8 >= 3^1 * 1
 def test_graded_monotonicity_matches_the_ungraded_check(graded, m):
     D, g = graded
-    assert _monotone_graded(g, m, D) == monotonicity_check(ungrade(g, D), m)[0]
+    if len(g) <= m:  # no pair c_n, c_{n+m} to compare
+        with pytest.raises(InvalidParameterError):
+            monotonicity_check(ungrade(g, D), m)
+    else:
+        assert _monotone_graded(g, m, D) == monotonicity_check(ungrade(g, D), m)[0]
 
 
 def test_cross_check_matrix_small():

@@ -25,7 +25,7 @@ from qbias import (
 import qbias.kernel
 import qbias.oracle
 import qbias.engine as engine
-from qbias.engine import (_class_side, _gf_graded, _gf_ladder, _prefactor_graded, _total_graded,
+from qbias.engine import (_class_side, _gf_graded, _prefactor_graded, _total_graded,
                           _weight_factors)
 from qbias.kernel import Lists, Slots, add_shifted, div1, mul_trunc, scaled_weights, ungrade
 from reference import add, shift
@@ -174,10 +174,12 @@ def forbid_mul_trunc(monkeypatch):
     monkeypatch.setattr(engine, "mul_trunc", fail)
 
 
-def gf_graded(c, partners, m, P, Q, D, N):
-    # class c's ladder and Horner passes in the form a sweep group picks
-    form = engine._gf_form(P, Q, D, N, len(partners))
-    return _gf_graded(_gf_ladder(c, m, P, Q, D, N, form), c, partners, m, P, Q, D, N, form)
+def spy_forms(monkeypatch):
+    # the form of each ladder the gf builds, in the order of the calls
+    forms = []
+    real = engine._gf_ladder
+    monkeypatch.setattr(engine, "_gf_ladder", lambda *args: forms.append(args[-1]) or real(*args))
+    return forms
 
 
 @in_both_forms([1, 2, 13, 60])
@@ -217,9 +219,9 @@ def test_gf_graded_partners_match_single_runs_and_dense_sum(N, slot_bits, monkey
         partners = partners[1::2] + partners[::-2]  # out of order
         for xy in weights:
             P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
-            together = gf_graded(c, partners, m, P, Q, D, N)
+            together = _gf_graded(c, partners, m, P, Q, D, N)
             for b, graded in zip(partners, together):
-                [alone] = gf_graded(c, [b], m, P, Q, D, N)
+                [alone] = _gf_graded(c, [b], m, P, Q, D, N)
                 assert graded == alone, (c, b, m, xy)
                 dense = dense_double_sum(BiasSpec(c, b, m, *xy), N)
                 assert ungrade(graded, D) == dense.coeffs, (c, b, m, xy)
@@ -229,22 +231,24 @@ def test_gf_graded_partners_match_single_runs_and_dense_sum(N, slot_bits, monkey
 def test_gf_graded_lanes_fill_their_width(N, slot_bits, monkeypatch):
     # class 1 against partners beyond N, where p_n(1,b) nearly equals the
     # total p_n(x,y), and below it: with x = 5/2 (D = 2) or an integer
-    # x >= 2 every lane needs all K bits of the bound, so the packed
-    # factor path runs at its width.  The slots round K up to whole bytes;
-    # K = 16, 32 and 64 (N = 13, 60) fill them, and K = 17 (N = 14) needs
-    # the byte that one bit fewer would leave out
+    # x >= 2 every lane's result needs all K bits of the bound.  Lanes and
+    # slots take W, K rounded up to whole bytes; K = 16, 32 and 64 (N = 13,
+    # 60) fill W, and K = 17 (N = 14) needs the byte that one bit fewer
+    # would leave out
     monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
+    forms = spy_forms(monkeypatch)
     m = N + 3
     partners = [N + 1, 2, N + 2, 3, N // 2]
     for xy in [(rational(5, 2), rational(1, 2)), (rational(5, 2), 0), (2, 1), (3, 0)]:
         P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
         K = max(_total_graded(P, Q, D, N)).bit_length()
-        form = engine._gf_form(P, Q, D, N, len(partners))
+        forms.clear()
+        together = _gf_graded(1, partners, m, P, Q, D, N)
+        [form] = forms
         assert form.W == 8 * -(-K // 8) if slot_bits else form is Lists, xy
-        together = gf_graded(1, partners, m, P, Q, D, N)
         assert [max(g).bit_length() for g in together] == [K] * len(partners), xy
         for b, graded in zip(partners, together):
-            [alone] = gf_graded(1, [b], m, P, Q, D, N)
+            [alone] = _gf_graded(1, [b], m, P, Q, D, N)
             assert graded == alone, (b, xy)
             dense = dense_double_sum(BiasSpec(1, b, m, *xy), N)
             assert ungrade(graded, D) == dense.coeffs, (b, xy)
@@ -291,13 +295,12 @@ def test_factor_path_pass_count(monkeypatch):
     for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0)]:
         P, Q, D = scaled_weights(rational(x), rational(y))
         for partners in ([5], [1, 5], [1, 3, 4, 5, 6, 7]):
-            rows = _gf_ladder(a, m, P, Q, D, N)
             if len(partners) == 1:
                 _total_graded.cache_clear()
             else:
                 _total_graded(P, Q, D, N)
             calls.clear()
-            _gf_graded(rows, a, partners, m, P, Q, D, N)
+            _gf_graded(a, partners, m, P, Q, D, N)
             assert len(calls) == 2 * len(partners) + 4, (x, y, partners)
 
 
@@ -386,7 +389,7 @@ def test_symmetric_rejects_bad_classes():
         bias_series_symmetric(1, 3, "xx", 20)
 
 
-def test_gf_modulus_beyond_order():
+def test_gf_modulus_beyond_order(monkeypatch):
     # with m > N only the parts a and b themselves fall in the classes, so
     # any such m gives the same series; graded powers D^m must not be built
     x = rational(3, 2)
@@ -394,8 +397,9 @@ def test_gf_modulus_beyond_order():
     assert bias_series_gf(BiasSpec(1, 2, 10**8, x, 1), 20).coeffs == want
     # nor in packed slots, which a class with several partners takes
     P, Q, D = scaled_weights(x, rational(1))
-    assert isinstance(engine._gf_form(P, Q, D, 20, 2), Slots)
-    assert gf_graded(1, [2, 3], 10**8, P, Q, D, 20) == gf_graded(1, [2, 3], 21, P, Q, D, 20)
+    forms = spy_forms(monkeypatch)
+    assert _gf_graded(1, [2, 3], 10**8, P, Q, D, 20) == _gf_graded(1, [2, 3], 21, P, Q, D, 20)
+    assert len(forms) == 2 and all(isinstance(form, Slots) for form in forms)
 
 
 def test_symmetric_distinct_pair_swap():
@@ -514,6 +518,10 @@ def test_monotonicity_mod_m():
     assert monotonicity_check([5, 5, 5, 5], 2) == (True, None)
     assert monotonicity_check([0, 1, 0, 2], 2)[0] is True
     assert monotonicity_check([3, 1, 2, 1], 2) == (False, 0)
+    # at most m terms hold no pair c_n, c_{n+m} to compare
+    for short in ([], [1], [2, 1]):
+        with pytest.raises(InvalidParameterError):
+            monotonicity_check(short, 2)
 
 
 def test_compare_bias_report_shape():

@@ -1,8 +1,9 @@
 """Every name a qbias module imports is used there or re-exported in __all__,
 no module forks on an optional import, every kernel function and module-level
-private name has a caller, every name the package exports is referred to
-by one of its modules or listed, and every public function, class and method
-is referred to by production code."""
+private name has a caller, no module but engine imports engine's private
+names beyond the gf entry and the prefactor, every name the package exports
+is referred to by one of its modules or listed, and every public function,
+class and method is referred to by production code."""
 
 import ast
 import os
@@ -120,6 +121,35 @@ def test_caller_check_sees_helpers_used_only_by_themselves():
 def test_kernel_functions_and_private_names_have_callers():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert uncalled(sources, "kernel") == []
+
+
+# the engine names other qbias modules may import: the gf's one graded entry,
+# which decides its own width and form, and the prefactor f_series expands
+ENGINE_PRIVATE_IMPORTS = {"_gf_graded", "_prefactor_graded"}
+
+
+def engine_private_imports(source):
+    """The underscore names a module imports from ``engine``, as
+    ``from .engine import`` or ``from qbias.engine import``."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and ((node.level, node.module) in ((1, "engine"), (0, "qbias.engine")))
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+def test_engine_import_audit_sees_private_names():
+    source = ("from .engine import _gf_graded, _gf_form, public\n"
+              "from qbias.engine import _total_bits\n"
+              "from .kernel import _pack\nfrom .engines import _other\n")
+    assert engine_private_imports(source) == ["_gf_form", "_gf_graded", "_total_bits"]
+
+
+def test_only_the_gf_entry_and_prefactor_leave_engine():
+    # the gf's slot width and list form are decided in engine alone
+    leaked = {p.name: names for p in pathlib.Path(qbias.__file__).parent.glob("*.py")
+              if p.stem != "engine"
+              and (names := set(engine_private_imports(p.read_text())) - ENGINE_PRIVATE_IMPORTS)}
+    assert leaked == {}
 
 
 # exports that no other qbias module refers to; pochhammer_product stays
