@@ -350,29 +350,23 @@ def _sweep_group(task):
     one (m, x, y) group, as {(a, b): (indices where p_ab < p_ba, both
     sequences monotone)}.
 
-    Each class's ladder is built once and serves all its partners, and it
-    is used up before the next class's is built.  A pair and its swap come
+    Both orders of every pair come from one :func:`_gf_graded` call, which
+    builds each class's ladder once for all its partners and, on the
+    factor path, applies each prefactor class factor once to every pair
+    that avoids it.  A pair and its swap come
     from Horner passes over two different ladders, so every comparison
     still rests on two independent runs.  The sequences stay D^n-graded
     ints, which compare at each n as their values do.
     """
     m, x, y, pairs, N = task
     P, Q, D = scaled_weights(x, y)
-    partners = {}
+    graded = _gf_graded(dict.fromkeys(pair for a, b in pairs for pair in ((a, b), (b, a))),
+                        m, P, Q, D, N)
+    out = {}
     for a, b in pairs:
-        partners.setdefault(a, []).append(b)
-        partners.setdefault(b, []).append(a)
-    graded, out = {}, {}
-    for c in sorted(partners):
-        others = partners[c]
-        outputs = _gf_graded(c, others, m, P, Q, D, N)
-        graded.update(((c, d), g) for d, g in zip(others, outputs))
-        for a, b in pairs:
-            if max(a, b) == c:  # both orders are in now
-                fwd, rev = graded[a, b], graded[b, a]
-                out[a, b] = ([n for n, (p, q) in enumerate(zip(fwd, rev)) if p < q],
-                             _monotone_graded(fwd, m, D) and _monotone_graded(rev, m, D))
-        graded = {key: g for key, g in graded.items() if max(key) > c}
+        fwd, rev = graded[a, b], graded[b, a]
+        out[a, b] = ([n for n, (p, q) in enumerate(zip(fwd, rev)) if p < q],
+                     _monotone_graded(fwd, m, D) and _monotone_graded(rev, m, D))
     return out
 
 
@@ -382,14 +376,20 @@ def _run_sweep(name, specs, N, jobs, witnesses=None) -> SweepReport:
 
     The specs run in groups that share (m, x, y), one :func:`_sweep_group`
     each, so that a class's ladder is built once per group; a pool gets
-    the groups largest first, one at a time.  A sweep with no spec or an
-    order below 1 would pass without comparing anything, so it is rejected
-    as an invalid configuration instead; :func:`_sweep_group` calls no
-    entry point that checks the order itself.
+    the groups largest first, one at a time.  A sweep with no spec, an
+    order below 1, or an order below its largest modulus m, whose step-m
+    monotonicity then has no pair c_n, c_{n+m} (:func:`monotonicity_check`
+    refuses that too), would pass without comparing anything, so it is
+    rejected as an invalid configuration instead; :func:`_sweep_group`
+    calls no entry point that checks the order itself.
     """
     positive_order(N)
     if not specs:
         raise InvalidParameterError(f"the {name} sweep has no comparison to run")
+    m_top = max(spec.m for spec in specs)
+    if N < m_top:
+        raise InvalidParameterError(
+            f"the {name} sweep compares c_n with c_{{n+m}}: N = {N} is below m = {m_top}")
     if jobs is None:
         jobs = os.cpu_count() or 1
     elif jobs < 1:

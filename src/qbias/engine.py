@@ -133,17 +133,18 @@ def _gf_ladder(a, m, P, Q, D, N, form):
     return rows
 
 
-def _gf_graded(a, partners, m, P, Q, D, N):
-    """p_n(a,b,m;x,y) D^n for n <= N, one list per partner class b of
-    class a, by :func:`bias_series_gf`: class a's ladder is built once, and
-    one Horner pass per partner goes down it, prefactor included.  The
-    passes go down together and share the suffix sums, which are built in
-    the rows' place as they are read, so the rows are used up.
+def _gf_graded(pairs, m, P, Q, D, N):
+    """p_n(a,b,m;x,y) D^n for n <= N, as {(a, b): list}, for the ordered
+    pairs (a, b) of one group, by :func:`bias_series_gf`.  Each class a's
+    ladder is built once and used up before the next class's: one Horner
+    pass per partner b goes down it, and the passes go down together and
+    share the suffix sums, which are built in the rows' place as they are
+    read.
 
     The width W of :func:`bias_series_gf` is decided once, at the top, and
     serves three uses: the form of the ladder and Horner lists, the narrow
-    path's product slots and the factor path's lanes.  A lone partner on
-    the factor path uses none of them and computes no W.
+    path's product slots and the factor path's group lanes.  A lone pair
+    on the factor path uses none of them and computes no W.
 
     T_n reaches T_0 only through the steps j < n, whose multipliers start
     at q^{b + z_j}, so each partner keeps T_n only up to q^{N - cum_n} with
@@ -154,48 +155,68 @@ def _gf_graded(a, partners, m, P, Q, D, N):
 
     On the narrow path each T_0 (packed at W first when the lists are
     plain) times the cached packed prefactor is masked at the N - off + 1
-    slots of the result and unpacked once.  On the factor path each T_0 is
-    unpacked, takes its own side (xq^b;q^m)_inf / (-yq^b;q^m)_inf, and the
-    partners, packed into the W-bit lanes of one list (:func:`pack_lanes`),
-    take (-yq;q)_inf / (xq;q)_inf and class a's side together before the
-    lanes are unpacked: 2k + 4 progression passes for k partners."""
+    slots of the result and unpacked once.  On the factor path a lone
+    pair's T_0 takes the prefactor's six progression factors.  Several
+    pairs hold their T_0 as full lists, and for each class r <= min(m, N)
+    that some pair avoids (above N, g_r is 1 mod q^{N+1}), the lists of
+    those pairs, packed into the W-bit lanes of one list
+    (:func:`pack_lanes`), take g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf as
+    two progression passes and are unpacked: at most 2m passes a group,
+    and none at m = 2.  Why every lane fits W after each class is in
+    :func:`bias_series_gf`."""
     narrow = D == 1 and P <= 1  # x in {0, 1} and integer y; see bias_series_gf
+    lanes = not narrow and len(pairs) > 1
     wb = 0  # W in whole bytes
-    if narrow or len(partners) > 1:
+    if narrow or lanes:
         wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
     form = Slots(wb) if 0 < 8 * wb <= _SLOT_BITS else Lists
-    rows = _gf_ladder(a, m, P, Q, D, N, form)
-    if not rows:
-        return [[0] * (N + 1) for _ in partners]
-    accs = [form.zero for _ in partners]  # T_{n+1} from q^top on
-    off, suffix = N + 1, form.zero  # nothing above the top row
-    for n in range(len(rows) - 1, -1, -1):
-        z = 0 if P else n * m
-        top = off
-        off, tail = rows.pop()  # row n + 1 becomes the suffix S_{n+1}
-        suffix = form.add(tail, top - off, suffix)
-        for i, b in enumerate(partners):
-            cut = N - n * b - (0 if P else m * n * (n - 1) // 2)
-            # T_n starts above its cut and adds nothing; the cut rises and off
-            # falls as n falls, so only top levels skip, where accs[i] is zero
-            if cut < off:
-                continue
-            step = form.rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
-            accs[i] = form.add(form.head(suffix, cut - off + 1), top - off + b + z, step)
-    length = N - off + 1  # T_0 from q^off on
-    if narrow:
-        slots = Slots(wb)
-        mask = (1 << slots.W * length) - 1
-        tails = [slots.unpack((_prefactor_packed(min(a, b), max(a, b), m, P, Q, D, N, wb)
-                               * (slots.pack(acc) if form is Lists else acc)) & mask, length)
-                 for b, acc in zip(partners, accs)]
-    else:
-        accs = [form.unpack(acc, length) for acc in accs]
-        packed = pack_lanes([_class_side(acc, b, m, P, Q, D, N - off)
-                             for b, acc in zip(partners, accs)], 8 * wb)
-        packed = _class_side(_weight_factors(packed, P, Q, D, N - off), a, m, P, Q, D, N - off)
-        tails = unpack_lanes(packed, len(partners), 8 * wb)
-    return [[0] * off + tail for tail in tails]
+    partners = {}
+    for a, b in pairs:
+        partners.setdefault(a, []).append(b)
+    graded = {}
+    for a, bs in partners.items():
+        rows = _gf_ladder(a, m, P, Q, D, N, form)
+        if not rows:
+            graded.update(((a, b), [0] * (N + 1)) for b in bs)
+            continue
+        accs = [form.zero for _ in bs]  # T_{n+1} from q^top on
+        off, suffix = N + 1, form.zero  # nothing above the top row
+        for n in range(len(rows) - 1, -1, -1):
+            z = 0 if P else n * m
+            top = off
+            off, tail = rows.pop()  # row n + 1 becomes the suffix S_{n+1}
+            suffix = form.add(tail, top - off, suffix)
+            for i, b in enumerate(bs):
+                cut = N - n * b - (0 if P else m * n * (n - 1) // 2)
+                # T_n starts above its cut and adds nothing; the cut rises and
+                # off falls as n falls, so only top levels skip, where accs[i]
+                # is zero
+                if cut < off:
+                    continue
+                step = form.rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
+                accs[i] = form.add(form.head(suffix, cut - off + 1), top - off + b + z, step)
+        length = N - off + 1  # T_0 from q^off on
+        for b, acc in zip(bs, accs):
+            if narrow:
+                slots = Slots(wb)
+                product = (_prefactor_packed(min(a, b), max(a, b), m, P, Q, D, N, wb)
+                           * (slots.pack(acc) if form is Lists else acc))
+                tail = slots.unpack(slots.head(product, length), length)
+            else:
+                tail = form.unpack(acc, length)
+                if not lanes:
+                    tail = _class_side(tail, b, m, P, Q, D, N - off)
+                    tail = _class_side(_weight_factors(tail, P, Q, D, N - off), a, m, P, Q, D,
+                                       N - off)
+            graded[a, b] = [0] * off + tail
+    if lanes:
+        for r in range(1, min(m, N) + 1):
+            keys = [key for key in graded if r not in key]
+            if keys:
+                packed = pack_lanes([graded[key] for key in keys], 8 * wb)
+                packed = progression(progression(packed, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
+                graded.update(zip(keys, unpack_lanes(packed, len(keys), 8 * wb)))
+    return graded
 
 
 def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
@@ -237,30 +258,37 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     operation an entry, when W is at most ``_SLOT_BITS`` = 352 bits (the
     measured ratios are there), and on plain lists otherwise; no slot
     carries.  The narrow path packs at every bench order, while graded and
-    x >= 2 entries pass that width near N = 200-350.
+    x >= 2 entries pass that width near N = 200-350.  The other two uses
+    are the prefactor's, below.
 
-    T_0 is then multiplied by the product prefactor.  With x in {0, 1} and
-    y an integer (the narrow path) the lists hold narrow ints, and the
-    cached prefactor, packed in W-bit slots, times the packed T_0 is one int
-    product.  The prefactor is the product over the m - 2 other classes r of
-    (-yq^r;q^m)_inf / (xq^r;q^m)_inf, a sub-product of the total, so its
-    coefficients lie in [0, p_n(x,y)]; every product coefficient up to
-    q^(N - off) is a graded p_n(a,b,m;x,y) < 2^W; and carries of
+    T_0 is then multiplied by the product prefactor, the product over the
+    m - 2 other classes r of g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf.  With
+    x in {0, 1} and y an integer (the narrow path) the lists hold narrow
+    ints, and the cached prefactor, packed in W-bit slots, times the packed
+    T_0 is one int product.  The prefactor is a sub-product of the total,
+    so its coefficients lie in [0, p_n(x,y)]; every product coefficient up
+    to q^(N - off) is a graded p_n(a,b,m;x,y) < 2^W; and carries of
     non-negative ints move only upward, so the slots kept, T_0's length,
     are exact with no sign bias or wider slot.  Otherwise (D^n grading, or
     x >= 2, the factor path) the entries grow geometrically, and the
-    prefactor's six progression factors act on T_0 itself in place of a
-    dense product: class b's side first, then (-yq;q)_inf / (xq;q)_inf and
-    class a's side.  Those last four are the same for every partner, so a
-    sweep's partners share them packed into the W-bit lanes of one list
-    (:func:`pack_lanes`); the passes are Z-linear, so only the final lanes,
-    graded p_n(a,b,m;x,y), must fit.  A lone partner packs into one lane,
-    which needs no W, and on that path the ladder and Horner lists stay
-    plain, since their W would cost the total's two progression passes.
+    prefactor acts on T_0 as progression factors in place of a dense
+    product.  A lone pair takes six on its own list: class b's side, then
+    (-yq;q)_inf / (xq;q)_inf and class a's side.  It needs no W, and its
+    ladder and Horner lists stay plain, since their W would cost the
+    total's two progression passes.  A group applies each g_r once, as two
+    passes, to the W-bit lanes of one list (:func:`pack_lanes`) that holds
+    every pair avoiding r, and unpacks the lanes after each class.  So the
+    lanes hold partial products T_0 prod_{r in S} g_r.  Each g_r has
+    non-negative coefficients and constant term 1, so such a product lies
+    coefficientwise between T_0 and the final graded p_n(a,b,m;x,y) < 2^W,
+    and every lane unpacks exactly after every class, not only at the end.
+    The class form costs 2(m - 2) passes for one pair and was measured
+    slower than the packed product on the narrow path, so it serves groups
+    on the factor path only.
     """
     positive_order(N)
     P, Q, D = scaled_weights(spec.x, spec.y)
-    [graded] = _gf_graded(spec.a, [spec.b], spec.m, P, Q, D, N)
+    graded = _gf_graded([(spec.a, spec.b)], spec.m, P, Q, D, N)[spec.a, spec.b]
     return TruncatedSeries(ungrade(graded, D))
 
 

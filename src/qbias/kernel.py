@@ -15,7 +15,7 @@ list (:func:`pack_lanes`), a list into the byte slots of one int for
 Kronecker products (:func:`mul_trunc`), and a non-negative list into the
 slots of one int that the ladder step, shifted adds and cuts act on
 directly (:class:`Slots`, with :class:`Lists` the same steps on lists).
-The gf's one entry, ``engine._gf_graded``, decides one width per class
+The gf's one entry, ``engine._gf_graded``, decides one width per group
 for its slots, its lanes and its one cached prefactor, packed in slots.
 
 Lists may be *graded*: a series whose weights have common denominator D

@@ -197,6 +197,15 @@ def test_sweeps_reject_orders_below_one():
             distinct_dominance_sweep(4, [1], N, jobs=1)
 
 
+def test_sweeps_reject_orders_below_their_largest_modulus():
+    # with N < m a group's step-m monotonicity has no pair c_n, c_{n+m}
+    with pytest.raises(InvalidParameterError):
+        dominance_sweep(6, [1], [0], 3, jobs=1)
+    with pytest.raises(InvalidParameterError):
+        distinct_dominance_sweep(8, [0], 5)
+    assert dominance_sweep(4, [1], [0], 4, jobs=1).passed  # N = m compares c_0, c_4
+
+
 def test_distinct_dominance_sweep_small():
     rep = distinct_dominance_sweep(6, [0, 1], 60, jobs=1)
     assert rep.passed
@@ -218,12 +227,15 @@ def reference_sweep(name, specs, N, witnesses=None):
 
 
 def test_grouped_thm1_sweep_matches_the_per_pair_reference():
-    xs, ys = [1, rational(3, 2), 1], [0, rational(1, 2)]  # x = 1 twice
-    specs = [BiasSpec(a, b, m, x, y) for m in range(1, 5) for b in range(2, m + 1)
+    # x = 1 twice; (1, 0) takes the narrow path, and (3/2, y) and (1, 1/2)
+    # the factor path, whose m = 6 groups put 20 lanes on each class factor.
+    # The reference runs every pair alone, so it uses no group lanes
+    xs, ys = [1, rational(3, 2), 1], [0, rational(1, 2)]
+    specs = [BiasSpec(a, b, m, x, y) for m in range(1, 7) for b in range(2, m + 1)
              for a in range(1, b) for x in xs for y in ys]
     want = reference_sweep("thm1", specs, 40)
     for jobs in (1, 2):
-        assert dominance_sweep(4, xs, ys, 40, jobs=jobs).to_json_obj() == want
+        assert dominance_sweep(6, xs, ys, 40, jobs=jobs).to_json_obj() == want
 
 
 def test_grouped_thm2_sweep_matches_the_per_pair_reference():

@@ -67,6 +67,7 @@ def test_invalid_config_exit_2_and_json_error():
                  ["verify", "thm1", "--m-max", "2", "--N", "10", "--jobs", "0"],
                  ["verify", "thm1", "--N", "0"],
                  ["verify", "thm2", "--N", "-3"],
+                 ["verify", "thm1", "--N", "3"],
                  # common flags follow the subcommand, never precede it
                  ["--format", "csv", "compute-bias", "--a", "1", "--b", "2", "--m", "2",
                   "--N", "5"],

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,29 +203,38 @@ def test_gf_matches_dense_double_sum(N, slot_bits, monkeypatch):
             assert list(map(type, got.coeffs)) == list(map(type, want.coeffs)), spec
 
 
+@lru_cache(maxsize=None)
+def dense_graded(spec, N):
+    # dense_double_sum is the slow side of the group tests, and both forms
+    # compare with the same one
+    return dense_double_sum(spec, N).coeffs
+
+
 @in_both_forms([1, 2, 13, 60])
 def test_gf_graded_partners_match_single_runs_and_dense_sum(N, slot_bits, monkeypatch):
     monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
     forbid_mul_trunc(monkeypatch)
-    # one ladder, many partners given out of order: each partner's Horner
-    # pass stops at its own cut N - cum_n, with partners b > N/2 and b > N,
-    # m > N, x = 0 (the quadratic cut), y = 0 and D = 1, 2, 3
-    weights = [(1, 1), (2, 1), (0, 1), (0, 2), (rational(3, 2), rational(1, 2)),
-               (0, rational(3, 2)), (rational(1, 3), rational(2, 3)), (rational(5, 2), 0)]
+    # one call over every ordered pair of a group, given out of order: each
+    # class builds one ladder, each partner's Horner pass stops at its own
+    # cut N - cum_n, and on the factor path each class factor acts once on
+    # the lanes of the pairs that avoid it.  m = 2 (no class factor), m > N,
+    # partners b > N/2 and b > N, x = 0 (the quadratic cut), y = 0 and
+    # D = 1, 2, 3
+    weights = [(1, 1), (0, 1), (0, 2), (rational(1, 3), rational(2, 3)), (rational(1, 2), 1),
+               (rational(3, 2), 0), (rational(5, 2), rational(1, 2)), (2, 1), (3, 0),
+               (0, rational(3, 2))]
     near = {1, 2, 3, N // 2 + 1, N, N + 1, N + 2, N + 3}
-    groups = [(m, c, range(1, m + 1)) for m in (3, 7) for c in range(1, m + 1)]
-    groups += [(N + 3, c, near) for c in (1, 2, N // 2 + 1, N + 2)]
-    for m, c, classes in groups:
-        partners = sorted(b for b in set(classes) if b != c)
-        partners = partners[1::2] + partners[::-2]  # out of order
+    groups = [(m, range(1, m + 1)) for m in (2, 3, 5, 7, 8)] + [(N + 3, sorted(near))]
+    for m, classes in groups:
+        pairs = [(a, b) for a in classes for b in classes if a != b]
+        pairs = pairs[1::2] + pairs[::2][::-1]  # out of order
         for xy in weights:
             P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
-            together = _gf_graded(c, partners, m, P, Q, D, N)
-            for b, graded in zip(partners, together):
-                [alone] = _gf_graded(c, [b], m, P, Q, D, N)
-                assert graded == alone, (c, b, m, xy)
-                dense = dense_double_sum(BiasSpec(c, b, m, *xy), N)
-                assert ungrade(graded, D) == dense.coeffs, (c, b, m, xy)
+            together = _gf_graded(pairs, m, P, Q, D, N)
+            assert sorted(together) == sorted(pairs), (m, xy)
+            for (a, b), graded in together.items():
+                assert graded == _gf_graded([(a, b)], m, P, Q, D, N)[a, b], (a, b, m, xy)
+                assert ungrade(graded, D) == dense_graded(BiasSpec(a, b, m, *xy), N), (a, b, m, xy)
 
 
 @in_both_forms([13, 14, 60])
@@ -238,20 +248,57 @@ def test_gf_graded_lanes_fill_their_width(N, slot_bits, monkeypatch):
     monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
     forms = spy_forms(monkeypatch)
     m = N + 3
-    partners = [N + 1, 2, N + 2, 3, N // 2]
+    pairs = [(1, b) for b in (N + 1, 2, N + 2, 3, N // 2)]
     for xy in [(rational(5, 2), rational(1, 2)), (rational(5, 2), 0), (2, 1), (3, 0)]:
         P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
         K = max(_total_graded(P, Q, D, N)).bit_length()
         forms.clear()
-        together = _gf_graded(1, partners, m, P, Q, D, N)
+        together = _gf_graded(pairs, m, P, Q, D, N)
         [form] = forms
         assert form.W == 8 * -(-K // 8) if slot_bits else form is Lists, xy
-        assert [max(g).bit_length() for g in together] == [K] * len(partners), xy
-        for b, graded in zip(partners, together):
-            [alone] = _gf_graded(1, [b], m, P, Q, D, N)
-            assert graded == alone, (b, xy)
-            dense = dense_double_sum(BiasSpec(1, b, m, *xy), N)
+        assert [max(together[pair]).bit_length() for pair in pairs] == [K] * len(pairs), xy
+        for (a, b), graded in together.items():
+            assert graded == _gf_graded([(a, b)], m, P, Q, D, N)[a, b], (b, xy)
+            dense = dense_double_sum(BiasSpec(a, b, m, *xy), N)
             assert ungrade(graded, D) == dense.coeffs, (b, xy)
+
+
+def test_group_lanes_rise_to_their_final_values(monkeypatch):
+    # each class factor g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf has
+    # non-negative coefficients and constant term 1, so after each one a
+    # pair's list lies between its previous value and its final value, the
+    # graded p_n(a,b,m;x,y) < 2^W: the lanes unpack exactly between classes
+    chains = {}  # id of a pair's current list -> its lists so far
+    entering = []
+    real_pack, real_unpack = engine.pack_lanes, engine.unpack_lanes
+
+    def pack(lanes, K):
+        entering[:] = [chains.pop(id(lane), [lane]) for lane in lanes]
+        return real_pack(lanes, K)
+
+    def unpack(co, k, K):
+        lanes = real_unpack(co, k, K)
+        for chain, lane in zip(entering, lanes):
+            chain.append(lane)
+            chains[id(lane)] = chain
+        return lanes
+
+    monkeypatch.setattr(engine, "pack_lanes", pack)
+    monkeypatch.setattr(engine, "unpack_lanes", unpack)
+    N = 60
+    for m in (3, 5, 7):
+        pairs = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
+        for xy in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0), (rational(5, 2), 0)]:
+            P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
+            top = 1 << 8 * -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
+            chains.clear()
+            for (a, b), final in _gf_graded(pairs, m, P, Q, D, N).items():
+                chain = chains[id(final)]
+                assert chain[-1] is final and len(chain) == m - 1, (a, b, m, xy)
+                for before, after in zip(chain, chain[1:]):
+                    assert len(after) == N + 1
+                    assert all(0 <= u <= v <= w < top for u, v, w in zip(before, after, final)), \
+                        (a, b, m, xy)
 
 
 def test_prefactor_is_bounded_by_the_total():
@@ -284,24 +331,28 @@ def test_symmetric_closed_forms_match_the_gf_at_depth(N, slot_bits, monkeypatch)
 
 
 def test_factor_path_pass_count(monkeypatch):
-    # each partner's own side is 2 progression passes; the total weight and
-    # class a's side are 4 on the packed lanes, once per class.  A lone
-    # partner makes 6 and computes no lane width: with the cached total
-    # cleared, its 2 passes would show
+    # a lone pair takes the prefactor's six progression passes on its own
+    # list and computes no lane width: with the cached total cleared, the
+    # total's 2 passes would show.  A group takes 2 passes on its packed
+    # lanes per class r <= N that some pair avoids: none at m = 2, and
+    # 2 (N - 2) for one pair and its swap with m > N
     calls = []
     real = engine.progression
     monkeypatch.setattr(engine, "progression", lambda *args: calls.append(args) or real(*args))
-    N, a, m = 40, 2, 7
+    N = 40
+    every = [(a, b) for a in range(1, 8) for b in range(1, 8) if a != b]
+    cases = [(7, [(2, 5)], 6), (7, [(2, 5), (5, 2)], 2 * 5), (7, [(2, 1), (2, 5)], 2 * 6),
+             (7, every, 2 * 7), (2, [(1, 2), (2, 1)], 0), (N + 9, [(1, 2), (2, 1)], 2 * (N - 2))]
     for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0)]:
         P, Q, D = scaled_weights(rational(x), rational(y))
-        for partners in ([5], [1, 5], [1, 3, 4, 5, 6, 7]):
-            if len(partners) == 1:
+        for m, pairs, passes in cases:
+            if len(pairs) == 1:
                 _total_graded.cache_clear()
             else:
                 _total_graded(P, Q, D, N)
             calls.clear()
-            _gf_graded(a, partners, m, P, Q, D, N)
-            assert len(calls) == 2 * len(partners) + 4, (x, y, partners)
+            _gf_graded(pairs, m, P, Q, D, N)
+            assert len(calls) == passes, (x, y, m, pairs)
 
 
 @pytest.mark.parametrize("N", [0, 1, 13, 300])
@@ -395,10 +446,12 @@ def test_gf_modulus_beyond_order(monkeypatch):
     x = rational(3, 2)
     want = bias_series_gf(BiasSpec(1, 2, 21, x, 1), 20).coeffs
     assert bias_series_gf(BiasSpec(1, 2, 10**8, x, 1), 20).coeffs == want
-    # nor in packed slots, which a class with several partners takes
+    # nor in packed slots and group lanes, which several pairs take; no class
+    # factor above q^N is applied
     P, Q, D = scaled_weights(x, rational(1))
     forms = spy_forms(monkeypatch)
-    assert _gf_graded(1, [2, 3], 10**8, P, Q, D, 20) == _gf_graded(1, [2, 3], 21, P, Q, D, 20)
+    pairs = [(1, 2), (1, 3)]
+    assert _gf_graded(pairs, 10**8, P, Q, D, 20) == _gf_graded(pairs, 21, P, Q, D, 20)
     assert len(forms) == 2 and all(isinstance(form, Slots) for form in forms)
 
 
