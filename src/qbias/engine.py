@@ -45,11 +45,6 @@ __all__ = [
 # -- total weighted series ------------------------------------------------------
 
 
-def _weight_factors(co, P, Q, D, N):
-    """co * (-yq;q)_inf / (xq;q)_inf on a graded list, as a new list."""
-    return progression(progression(co, Q, 1, 1, 1, D, N), -P, 1, 1, -1, D, N)
-
-
 @lru_cache(maxsize=64)
 def _total_graded(P, Q, D, N):
     """Graded coefficients of (-yq;q)_inf / (xq;q)_inf."""
@@ -57,7 +52,7 @@ def _total_graded(P, Q, D, N):
         # kept: 1.6-1.8x faster than two progression sums at N = 2000 (0.030 vs 0.054 s)
         # (-q;q)_inf^Q / (q;q)_inf^P = E_2^Q / E_1^(P+Q), E_s = (q^s;q^s)_inf
         return tuple(quotient([euler(2, N)] * Q, [euler(1, N)] * (P + Q), N))
-    return tuple(_weight_factors([1] + [0] * N, P, Q, D, N))
+    return tuple(progression(progression([1] + [0] * N, Q, 1, 1, 1, D, N), -P, 1, 1, -1, D, N))
 
 
 def total_weighted_series(x, y, N: int) -> TruncatedSeries:
@@ -74,23 +69,18 @@ def total_weighted_series(x, y, N: int) -> TruncatedSeries:
 # -- the double-sum generating-function engine ---------------------------------
 
 
-def _class_side(co, s, m, P, Q, D, N):
-    """co * (xq^s;q^m)_inf / (-yq^s;q^m)_inf on a graded list, as a new
-    list; a list from q^o on takes N - o as N.  :func:`_prefactor_graded`
-    takes both classes' sides, and the gf's factor path takes them apart
-    (:func:`_gf_graded`)."""
-    return progression(progression(co, -P, s, m, 1, D, N), Q, s, m, -1, D, N)
-
-
 def _prefactor_graded(lo, hi, m, P, Q, D, N):
     """Graded coefficients of the double sum's product prefactor, as a new
     list.
 
-    (-yq;q)_inf (xq^a, xq^b; q^m)_inf / ((xq;q)_inf (-yq^a, -yq^b; q^m)_inf);
+    (-yq;q)_inf (xq^a, xq^b; q^m)_inf / ((xq;q)_inf (-yq^a, -yq^b; q^m)_inf):
+    the total times each class side (xq^s;q^m)_inf / (-yq^s;q^m)_inf;
     symmetric under a <-> b, so callers pass the classes as lo <= hi.
     """
-    sides = _class_side(_total_graded(P, Q, D, N), lo, m, P, Q, D, N)
-    return _class_side(sides, hi, m, P, Q, D, N)
+    co = _total_graded(P, Q, D, N)
+    for s in (lo, hi):
+        co = progression(progression(co, -P, s, m, 1, D, N), Q, s, m, -1, D, N)
+    return co
 
 
 @lru_cache(maxsize=64)
@@ -143,8 +133,8 @@ def _gf_graded(pairs, m, P, Q, D, N):
 
     The width W of :func:`bias_series_gf` is decided once, at the top, and
     serves three uses: the form of the ladder and Horner lists, the narrow
-    path's product slots and the factor path's group lanes.  A lone pair
-    on the factor path uses none of them and computes no W.
+    path's product slots and the factor path's lanes.  A lone pair on the
+    factor path holds one lane, which needs no width, so it computes no W.
 
     T_n reaches T_0 only through the steps j < n, whose multipliers start
     at q^{b + z_j}, so each partner keeps T_n only up to q^{N - cum_n} with
@@ -155,19 +145,19 @@ def _gf_graded(pairs, m, P, Q, D, N):
 
     On the narrow path each T_0 (packed at W first when the lists are
     plain) times the cached packed prefactor is masked at the N - off + 1
-    slots of the result and unpacked once.  On the factor path a lone
-    pair's T_0 takes the prefactor's six progression factors.  Several
-    pairs hold their T_0 as full lists, and for each class r <= min(m, N)
-    that some pair avoids (above N, g_r is 1 mod q^{N+1}), the lists of
-    those pairs, packed into the W-bit lanes of one list
-    (:func:`pack_lanes`), take g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf as
-    two progression passes and are unpacked: at most 2m passes a group,
-    and none at m = 2.  Why every lane fits W after each class is in
+    slots of the result and unpacked once.  On the factor path the pairs
+    hold their T_0 as full lists, and for each class r <= min(m, N) that
+    some pair avoids (above N, g_r is 1 mod q^{N+1}), the lists of those
+    pairs, packed into the W-bit lanes of one list (:func:`pack_lanes`),
+    take g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf as two progression passes
+    and are unpacked: at most 2m passes a group, two per class
+    r <= min(m, N) outside {a, b} for a lone pair, so 2(N - 2) for (1, 2)
+    with m > N, and none at m = 2.  A pair with a > N has T_0 = 0 and takes
+    none.  Why every lane fits W after each class is in
     :func:`bias_series_gf`."""
     narrow = D == 1 and P <= 1  # x in {0, 1} and integer y; see bias_series_gf
-    lanes = not narrow and len(pairs) > 1
     wb = 0  # W in whole bytes
-    if narrow or lanes:
+    if narrow or len(pairs) > 1:
         wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
     form = Slots(wb) if 0 < 8 * wb <= _SLOT_BITS else Lists
     partners = {}
@@ -204,14 +194,10 @@ def _gf_graded(pairs, m, P, Q, D, N):
                 tail = slots.unpack(slots.head(product, length), length)
             else:
                 tail = form.unpack(acc, length)
-                if not lanes:
-                    tail = _class_side(tail, b, m, P, Q, D, N - off)
-                    tail = _class_side(_weight_factors(tail, P, Q, D, N - off), a, m, P, Q, D,
-                                       N - off)
             graded[a, b] = [0] * off + tail
-    if lanes:
+    if not narrow:
         for r in range(1, min(m, N) + 1):
-            keys = [key for key in graded if r not in key]
+            keys = [key for key in graded if r not in key and key[0] <= N]  # a > N: T_0 = 0
             if keys:
                 packed = pack_lanes([graded[key] for key in keys], 8 * wb)
                 packed = progression(progression(packed, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
@@ -272,19 +258,16 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     are exact with no sign bias or wider slot.  Otherwise (D^n grading, or
     x >= 2, the factor path) the entries grow geometrically, and the
     prefactor acts on T_0 as progression factors in place of a dense
-    product.  A lone pair takes six on its own list: class b's side, then
-    (-yq;q)_inf / (xq;q)_inf and class a's side.  It needs no W, and its
-    ladder and Horner lists stay plain, since their W would cost the
-    total's two progression passes.  A group applies each g_r once, as two
-    passes, to the W-bit lanes of one list (:func:`pack_lanes`) that holds
-    every pair avoiding r, and unpacks the lanes after each class.  So the
-    lanes hold partial products T_0 prod_{r in S} g_r.  Each g_r has
+    product.  Each g_r is applied once, as two passes, to the W-bit lanes
+    of one list (:func:`pack_lanes`) that holds every pair of the group
+    avoiding r, and the lanes are unpacked after each class.  So the lanes
+    hold partial products T_0 prod_{r in S} g_r.  Each g_r has
     non-negative coefficients and constant term 1, so such a product lies
     coefficientwise between T_0 and the final graded p_n(a,b,m;x,y) < 2^W,
     and every lane unpacks exactly after every class, not only at the end.
-    The class form costs 2(m - 2) passes for one pair and was measured
-    slower than the packed product on the narrow path, so it serves groups
-    on the factor path only.
+    A lone pair is a group of one: its one lane is copied as it is, so it
+    needs no W, and its ladder and Horner lists stay plain, since their W
+    would cost the total's two progression passes.
     """
     positive_order(N)
     P, Q, D = scaled_weights(spec.x, spec.y)

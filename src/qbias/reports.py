@@ -20,6 +20,10 @@ def _fmt_float(v: float) -> str:
     return s if ("e" in s or "." in s or "inf" in s) else s + ".0"
 
 
+# JSON forbids a raw U+0000-U+001F in a string; each is written \u00XX
+_CONTROL_ESCAPES = {c: f"\\u{c:04x}" for c in range(32)}
+
+
 def _render(obj, out: list):
     if obj is None:
         out.append("null")
@@ -34,7 +38,8 @@ def _render(obj, out: list):
     elif is_rational_value(obj):
         out.append('"' + format_rational(obj) + '"')
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        text = obj.replace("\\", "\\\\").replace('"', '\\"').translate(_CONTROL_ESCAPES)
+        out.append('"' + text + '"')
     elif isinstance(obj, dict):
         out.append("{")
         first = True

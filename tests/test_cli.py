@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import qbias.cli
 from qbias.cli import main
+from qbias.reports import canonical_json
 
 RUN = [sys.executable, "-m", "qbias.cli"]
 
@@ -82,6 +83,10 @@ def test_invalid_config_exit_2_and_json_error():
         res = run_cli(argv)
         assert res.returncode == 2, argv
         assert {"error", "type"} <= set(json.loads(res.stderr.splitlines()[-1])), argv
+    # a control character in a token is escaped, so the error stays one line
+    res = run_cli(["oracle", "--n", "1", "--a", "1", "--b", "2", "--m", "3", "foo\nbar"])
+    assert res.returncode == 2
+    assert "foo\nbar" in json.loads(res.stderr.splitlines()[-1])["error"]
     # argparse refusals take the same path, and their message names the flag
     for flag, argv in (
             ("--y-grid", ["verify", "thm2", "--m-max", "4", "--N", "20", "--x-grid", "1",
@@ -196,6 +201,14 @@ def test_rational_cli_inputs():
     res = run_cli(["oracle", "--a", "1", "--b", "2", "--m", "2",
                    "--x", "1.5", "--y", "0", "--n", "2"])
     assert res.returncode == 2  # floats rejected for exact computations
+
+
+def test_canonical_json_escapes_control_characters():
+    # JSON forbids a raw U+0000-U+001F inside a string
+    obj = {"k": 'a\x01b\n"\\', "t": "\t"}
+    text = canonical_json(obj)
+    assert text == '{"k":"a\\u0001b\\u000a\\"\\\\","t":"\\u0009"}\n'
+    assert json.loads(text) == obj
 
 
 def test_total_oracle_writes_canonical_weights():

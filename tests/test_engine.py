@@ -26,9 +26,9 @@ from qbias import (
 import qbias.kernel
 import qbias.oracle
 import qbias.engine as engine
-from qbias.engine import (_class_side, _gf_graded, _prefactor_graded, _total_graded,
-                          _weight_factors)
-from qbias.kernel import Lists, Slots, add_shifted, div1, mul_trunc, scaled_weights, ungrade
+from qbias.engine import _gf_graded, _prefactor_graded, _total_graded
+from qbias.kernel import (Lists, Slots, add_shifted, div1, mul_trunc, progression, scaled_weights,
+                          ungrade)
 from reference import add, shift
 
 WEIGHT_GRID = [(1, 0), (0, 1), (1, 1), (2, 1), (rational(3, 2), rational(1, 2))]
@@ -331,18 +331,22 @@ def test_symmetric_closed_forms_match_the_gf_at_depth(N, slot_bits, monkeypatch)
 
 
 def test_factor_path_pass_count(monkeypatch):
-    # a lone pair takes the prefactor's six progression passes on its own
-    # list and computes no lane width: with the cached total cleared, the
-    # total's 2 passes would show.  A group takes 2 passes on its packed
-    # lanes per class r <= N that some pair avoids: none at m = 2, and
-    # 2 (N - 2) for one pair and its swap with m > N
+    # every pair, a lone one too, takes 2 passes per class r <= min(m, N)
+    # outside it that some pair of its group avoids, on packed lanes: none
+    # at m = 2, 2 (N - 2) for one pair (and its swap) with m > N, and 2 m
+    # for a whole group.  A pair with a > N has T_0 = 0 and takes none.  A
+    # lone pair's one lane needs no width, so with the cached total cleared
+    # it builds no total, whose 2 passes would show
     calls = []
     real = engine.progression
     monkeypatch.setattr(engine, "progression", lambda *args: calls.append(args) or real(*args))
     N = 40
     every = [(a, b) for a in range(1, 8) for b in range(1, 8) if a != b]
-    cases = [(7, [(2, 5)], 6), (7, [(2, 5), (5, 2)], 2 * 5), (7, [(2, 1), (2, 5)], 2 * 6),
-             (7, every, 2 * 7), (2, [(1, 2), (2, 1)], 0), (N + 9, [(1, 2), (2, 1)], 2 * (N - 2))]
+    cases = [(7, [(2, 5)], 2 * 5), (7, [(7, 1)], 2 * 5), (2, [(1, 2)], 0),
+             (N + 9, [(1, 2)], 2 * (N - 2)), (N + 20, [(50, 1)], 0),
+             (N + 20, [(50, 1), (1, 50)], 2 * (N - 1)), (7, [(2, 5), (5, 2)], 2 * 5),
+             (7, [(2, 1), (2, 5)], 2 * 6), (7, every, 2 * 7), (2, [(1, 2), (2, 1)], 0),
+             (N + 9, [(1, 2), (2, 1)], 2 * (N - 2))]
     for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0)]:
         P, Q, D = scaled_weights(rational(x), rational(y))
         for m, pairs, passes in cases:
@@ -357,21 +361,26 @@ def test_factor_path_pass_count(monkeypatch):
 
 @pytest.mark.parametrize("N", [0, 1, 13, 300])
 def test_prefactor_factors_match_dense_multiply(N):
-    # the gf's factor path on a list that holds a series from q^o on, with
-    # N - o as its order, against the cached prefactor times the full list;
-    # D = 1, 2, 3, x = 0 and y = 0, weights on both sides of the gf's split
+    # the gf's factor-path prefactor, g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf
+    # for each class r <= min(m, N) outside {a, b} as two progression
+    # passes, on a list that holds a series from q^o on, against the cached
+    # total-based prefactor times the list; m = 2 (and classes beyond N)
+    # give the empty product.  D = 1, 2, 3, x = 0 and y = 0, weights on
+    # both sides of the gf's split
     weights = [(1, 1), (0, 1), (1, 0), (2, 1), (0, 3), (3, 0), (rational(3, 2), rational(1, 2)),
                (0, rational(5, 2)), (rational(4, 3), 0)]
-    classes = [(1, 2, 3), (5, 2, 7)] if N == 300 else [(1, 2, 3), (5, 2, 7), (2, 1, N + 2)]
+    classes = [(1, 2, 3), (5, 2, 7), (2, 1, 2)] + ([(2, 1, N + 2)] if N < 300 else [])
     for a, b, m in classes:
         for xy in weights:
             P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
             prefactor = _prefactor_graded(min(a, b), max(a, b), m, P, Q, D, N)
             for o in sorted({0, min(N, 1), N // 3, N}):
-                tail = [(-1) ** j * (7 * j + 1) * D ** (o + j) for j in range(N - o + 1)]
-                got = _class_side(tail, b, m, P, Q, D, N - o)  # in the gf's order
-                got = _class_side(_weight_factors(got, P, Q, D, N - o), a, m, P, Q, D, N - o)
-                assert got == mul_trunc(prefactor, [0] * o + tail, N)[o:], (a, b, m, xy, o)
+                co = [0] * o + [(-1) ** j * (7 * j + 1) * D ** (o + j) for j in range(N - o + 1)]
+                got = co
+                for r in range(1, min(m, N) + 1):
+                    if r not in (a, b):
+                        got = progression(progression(got, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
+                assert got == mul_trunc(prefactor, co, N), (a, b, m, xy, o)
 
 
 def test_bias_starts_at_q_a():
