@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import (FLAVOR_XY, bias_series_symmetric, check_symmetric_args,
@@ -40,18 +40,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AsymptoticProfile:
+class AsymptoticProfile(namedtuple("AsymptoticProfile", "alpha beta gamma rho")):
     """Boundary growth parameters: f(e^-z) ~ alpha * z^gamma * exp(beta * z^-rho / rho)."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.rho > 0):
+    def __new__(cls, alpha: float, beta: float, gamma: float, rho: float):
+        if not (alpha > 0 and beta > 0 and rho > 0):
             raise InvalidParameterError("alpha, beta and rho must be positive")
+        return super().__new__(cls, alpha, beta, gamma, rho)
 
 
 # Profiles of the three classical totals, from the product asymptotics of
@@ -122,12 +119,8 @@ def digamma_diff(a: int, m: int) -> float:
     return 2.0 * _alternating_sum(lambda k: 1.0 / (k + r))
 
 
-@dataclass(frozen=True)
-class BiasConstant:
-    a: int
-    m: int
-    flavor: str
-    value: float
+class BiasConstant(namedtuple("BiasConstant", "a m flavor value")):
+    __slots__ = ()
 
 
 def bias_constant(a: int, m: int, flavor: str) -> BiasConstant:
@@ -172,14 +165,12 @@ def tauberian_predict_log(profile: AsymptoticProfile, n) -> float:
 # -- convergence of exact ratios -----------------------------------------------------
 
 
-@dataclass
 class ConvergenceReport:
-    a: int
-    m: int
-    flavor: str
-    constant: float
-    rows: list  # (n, ratio, abs_error)
-    trend_ok: bool | None  # None when fewer than 2 samples
+    def __init__(self, a: int, m: int, flavor: str, constant: float, rows: list,
+                 trend_ok: bool | None):
+        self.a, self.m, self.flavor, self.constant = a, m, flavor, constant
+        self.rows = rows  # (n, ratio, abs_error)
+        self.trend_ok = trend_ok  # None when fewer than 2 samples
 
     def to_json_obj(self):
         return {
@@ -281,14 +272,11 @@ def suggest_boundary_order(flavor: str, m: int, z: float) -> int:
     return n
 
 
-@dataclass
 class BoundaryReport:
-    a: int
-    m: int
-    flavor: str
-    h: int
-    rows: list  # (z, measured, reference, ratio)
-    kind: str  # "main-term" for m | h, "decay" otherwise
+    def __init__(self, a: int, m: int, flavor: str, h: int, rows: list, kind: str):
+        self.a, self.m, self.flavor, self.h = a, m, flavor, h
+        self.rows = rows  # (z, measured, reference, ratio)
+        self.kind = kind  # "main-term" for m | h, "decay" otherwise
 
     def to_json_obj(self):
         return {

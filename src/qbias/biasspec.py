@@ -1,37 +1,32 @@
-"""The (a, b, m, x, y) tuple parameterising a residue-class bias count."""
+"""The (a, b, m, x, y) tuple parameterising a residue-class bias count;
+an immutable, hashable value."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .scalars import InvalidParameterError, format_rational, nonneg_weight
 
 
-@dataclass(frozen=True)
-class BiasSpec:
+class BiasSpec(namedtuple("BiasSpec", "a b m x y")):
     """Integer classes a != b in 1..m modulo m, with exact non-negative
     rational weights x, y, not both zero."""
 
-    a: int
-    b: int
-    m: int
-    x: object = 1
-    y: object = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.a, self.b, self.m)):
+    def __new__(cls, a: int, b: int, m: int, x=1, y=0):
+        if not all(isinstance(v, int) for v in (a, b, m)):
             raise InvalidParameterError("classes a, b and modulus m must be integers")
-        if self.m < 1:
+        if m < 1:
             raise InvalidParameterError("modulus m must be a positive integer")
-        if not (1 <= self.a <= self.m and 1 <= self.b <= self.m):
+        if not (1 <= a <= m and 1 <= b <= m):
             raise InvalidParameterError("residue classes must lie in 1..m")
-        if self.a == self.b:
+        if a == b:
             raise InvalidParameterError("residue classes must differ")
-        x, y = nonneg_weight(self.x), nonneg_weight(self.y)
+        x, y = nonneg_weight(x), nonneg_weight(y)
         if x == 0 and y == 0:
             raise InvalidParameterError("weights must not both vanish")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return super().__new__(cls, a, b, m, x, y)
 
     def swapped(self) -> "BiasSpec":
         """Same weights with the two residue classes exchanged."""

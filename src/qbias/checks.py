@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import asdict, dataclass, field
 
 from .biasspec import BiasSpec
 from .engine import (
@@ -71,13 +70,11 @@ def doubling_orbit_witness(a: int, b: int, m: int):
 # -- non-negativity suite -------------------------------------------------------
 
 
-@dataclass
 class NonnegReport:
-    kind: str
-    params: dict
-    order: int
-    passed: bool
-    first_negative: int | None
+    def __init__(self, kind: str, params: dict, order: int, passed: bool,
+                 first_negative: int | None):
+        self.kind, self.params, self.order = kind, params, order
+        self.passed, self.first_negative = passed, first_negative
 
     def to_json_obj(self):
         return {
@@ -270,18 +267,16 @@ def random_nonneg_params(kind: str, rng: random.Random) -> dict:
 # -- conjecture threshold scanner ------------------------------------------------
 
 
-@dataclass
 class ScanReport:
-    a: int
-    b: int
-    m: int
-    horizon: int
-    violations: list
-    threshold: int
-    inconclusive: bool
+    def __init__(self, a: int, b: int, m: int, horizon: int, violations: list,
+                 threshold: int, inconclusive: bool):
+        self.a, self.b, self.m, self.horizon = a, b, m, horizon
+        self.violations, self.threshold, self.inconclusive = violations, threshold, inconclusive
 
     def to_json_obj(self):
-        return asdict(self)
+        return {"a": self.a, "b": self.b, "m": self.m, "horizon": self.horizon,
+                "violations": self.violations, "threshold": self.threshold,
+                "inconclusive": self.inconclusive}
 
 
 # share of the scan horizon, counted from its top, whose violations make a
@@ -314,13 +309,12 @@ def conjecture_scan(a: int, b: int, m: int, N: int) -> ScanReport:
 # -- grid sweeps ------------------------------------------------------------------
 
 
-@dataclass
 class SweepReport:
-    name: str
-    order: int
-    comparisons: int
-    violations: list = field(default_factory=list)  # (spec label, [n ...])
-    witnesses: dict = field(default_factory=dict)
+    def __init__(self, name: str, order: int, comparisons: int, violations: list | None = None,
+                 witnesses: dict | None = None):
+        self.name, self.order, self.comparisons = name, order, comparisons
+        self.violations = [] if violations is None else violations  # (spec label, [n ...])
+        self.witnesses = {} if witnesses is None else witnesses
 
     @property
     def passed(self) -> bool:

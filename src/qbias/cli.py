@@ -24,7 +24,6 @@ import functools
 import math
 import random
 import sys
-import traceback
 
 from .asymptotics import (
     PROFILES,
@@ -430,7 +429,9 @@ def main(argv=None) -> int:
             {"error": str(exc), "type": type(exc).__name__}))
         return EXIT_INCONCLUSIVE if isinstance(exc, TailBoundError) else EXIT_INVALID
     except Exception as exc:
-        # a defect, not a verdict: never let it read as a violation (exit 1)
+        # a defect, not a verdict: never let it read as a violation (exit 1);
+        # traceback is imported here, so a CLI start does not pay for it
+        import traceback
         traceback.print_exc()
         sys.stderr.write(canonical_json(
             {"error": str(exc) or repr(exc), "type": type(exc).__name__}))

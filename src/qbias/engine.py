@@ -20,7 +20,6 @@ scaling at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .biasspec import BiasSpec
@@ -427,20 +426,14 @@ _METHODS = {
 }
 
 
-@dataclass
 class BiasReport:
     """Tabulated bias sequence with its swapped-class counterpart; the
     signs of p_ab - p_ba and the indices where p_ba leads are derived."""
 
-    spec: BiasSpec
-    method: str
-    order: int
-    values: list
-    swapped_values: list
-    signs: list = field(init=False)
-    violations: list = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, spec: BiasSpec, method: str, order: int, values: list,
+                 swapped_values: list):
+        self.spec, self.method, self.order = spec, method, order
+        self.values, self.swapped_values = values, swapped_values
         self.signs = [(p > q) - (p < q) for p, q in zip(self.values, self.swapped_values)]
         self.violations = [n for n, s in enumerate(self.signs) if s < 0]
 

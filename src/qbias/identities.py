@@ -9,7 +9,6 @@ against one fixed absolute tolerance, ``NUMERIC_TOLERANCE``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 
 from .kernel import div1, mul1, progression
@@ -22,15 +21,12 @@ __all__ = ["verify_identity", "IdentityReport", "FORMAL_IDENTITIES", "NUMERIC_ID
 NUMERIC_TOLERANCE = 1e-10  # worst absolute residual a numeric check may leave
 
 
-@dataclass
 class IdentityReport:
-    name: str
-    mode: str  # "formal" | "numeric"
-    params: dict
-    order: int | None
-    passed: bool
-    max_discrepancy: str
-    detail: str = ""
+    def __init__(self, name: str, mode: str, params: dict, order: int | None, passed: bool,
+                 max_discrepancy: str, detail: str = ""):
+        self.name, self.mode = name, mode  # "formal" | "numeric"
+        self.params, self.order = params, order
+        self.passed, self.max_discrepancy, self.detail = passed, max_discrepancy, detail
 
     def to_json_obj(self):
         return {

@@ -73,6 +73,8 @@ def test_profile_validation():
     with pytest.raises(InvalidParameterError):
         AsymptoticProfile(-1.0, 1.0, 0.0, 1.0)
     with pytest.raises(InvalidParameterError):
+        AsymptoticProfile(alpha=0.0, beta=1.0, gamma=0.0, rho=1.0)
+    with pytest.raises(InvalidParameterError):
         AsymptoticProfile(1.0, 1.0, 0.0, 0.0)
 
 

@@ -158,6 +158,15 @@ def test_scan_excluded_case_oscillates():
     assert all(n % 3 == 2 for n in rep.violations)
 
 
+def test_scan_report_json_keys():
+    # the seven fields, in constructor order, as the report's JSON object
+    rep = conjecture_scan(2, 4, 6, 150)
+    obj = rep.to_json_obj()
+    assert list(obj) == ["a", "b", "m", "horizon", "violations", "threshold", "inconclusive"]
+    assert obj == {"a": 2, "b": 4, "m": 6, "horizon": 150, "violations": rep.violations,
+                   "threshold": 5, "inconclusive": False}
+
+
 def test_scan_validation():
     with pytest.raises(InvalidParameterError):
         conjecture_scan(2, 1, 3, 50)
@@ -166,6 +175,14 @@ def test_scan_validation():
 
 
 # -- sweeps ----------------------------------------------------------------------------
+
+
+def test_sweep_reports_do_not_share_their_defaults():
+    first, second = SweepReport("thm1", 10, 0), SweepReport("thm1", 10, 0)
+    first.violations.append(("(1,2,3;1/1,0/1)", [4]))
+    first.witnesses[1] = 2
+    assert second.violations == [] and second.witnesses == {}
+    assert second.passed and not first.passed
 
 
 def test_dominance_sweep_small():

@@ -292,7 +292,9 @@ def test_unexpected_exception_exit_4_and_json_error(monkeypatch, capsys):
     monkeypatch.setattr(qbias.cli, "bias_series_gf", broken)
     code = main(["compute-bias", "--a", "1", "--b", "2", "--m", "3", "--N", "5"])
     assert code == 4
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    lines = capsys.readouterr().err.splitlines()
+    assert "Traceback (most recent call last):" in lines[:-1]
+    err = json.loads(lines[-1])
     assert err == {"error": "defect", "type": "ZeroDivisionError"}
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import pickle
 import re
 from functools import lru_cache
 
@@ -591,6 +592,20 @@ def test_compare_bias_report_shape():
     assert rep.signs[0] == 0
     assert len(rep.values) == 31
     assert rep.violations == []
+
+
+def test_bias_spec_is_an_immutable_value():
+    spec = BiasSpec(1, 2, 3, 1, 1)
+    assert spec == BiasSpec(1, 2, 3, rational(1), rational(1))
+    assert hash(spec) == hash(BiasSpec(1, 2, 3, rational(1), rational(1)))
+    assert BiasSpec(a=1, b=2, m=3, x=1, y=1) == spec
+    assert spec.swapped().swapped() == spec
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert repr(spec) == "BiasSpec(a=1, b=2, m=3, x=Fraction(1, 1), y=Fraction(1, 1))"
+    with pytest.raises(AttributeError):
+        spec.a = 2
+    with pytest.raises(InvalidParameterError):
+        BiasSpec(1, 2, 3, 0, 0)
 
 
 @settings(max_examples=15, deadline=None)

@@ -257,9 +257,13 @@ def test_every_public_name_has_a_production_reference():
 
 def test_cli_import_leaves_the_process_pool_unloaded():
     # the sweep imports its pool when it starts one, so a CLI start that
-    # never sweeps in parallel does not pay for multiprocessing
+    # never sweeps in parallel does not pay for multiprocessing; the records
+    # are named tuples and plain classes, not dataclasses, whose import
+    # pulls in inspect (and ast, dis, tokenize); and only the exit-4 handler
+    # imports traceback
     code = ("import sys, qbias.cli\n"
-            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing',\n"
+            "                         'dataclasses', 'inspect', 'traceback')\n"
             "             if m in sys.modules))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
