@@ -345,12 +345,12 @@ def _sweep_group(task):
     sequences monotone)}.
 
     Both orders of every pair come from one :func:`_gf_graded` call, which
-    builds each class's ladder once for all its partners and, on the
-    factor path, applies each prefactor class factor once to every pair
-    that avoids it.  A pair and its swap come
-    from Horner passes over two different ladders, so every comparison
-    still rests on two independent runs.  The sequences stay D^n-graded
-    ints, which compare at each n as their values do.
+    builds each class's ladder once for all its partners and, at every
+    weight, applies each prefactor class factor once to the masked lanes of
+    every pair that avoids it.  A pair and its swap come from Horner passes
+    over two different ladders, so every comparison still rests on two
+    independent runs.  The sequences stay D^n-graded ints, which compare
+    at each n as their values do.
     """
     m, x, y, pairs, N = task
     P, Q, D = scaled_weights(x, y)

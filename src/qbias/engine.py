@@ -23,8 +23,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .biasspec import BiasSpec
-from .kernel import (Lists, Slots, euler, jacobi, mul_trunc, pack_lanes, progression, quotient,
-                     scaled_weights, ungrade, unpack_lanes)
+from .kernel import (Lists, Slots, euler, jacobi, mul_trunc, progression, quotient, scaled_weights,
+                     ungrade)
 from .scalars import InvalidParameterError, nonneg_weight, positive_order, rational
 from .series import TruncatedSeries
 
@@ -132,8 +132,8 @@ def _gf_graded(pairs, m, P, Q, D, N):
 
     The width W of :func:`bias_series_gf` is decided once, at the top, and
     serves three uses: the form of the ladder and Horner lists, the narrow
-    path's product slots and the factor path's lanes.  A lone pair on the
-    factor path holds one lane, which needs no width, so it computes no W.
+    path's product slots and the class loop's lanes.  A lone pair off the
+    narrow path holds one lane, which needs no width, so it computes no W.
 
     T_n reaches T_0 only through the steps j < n, whose multipliers start
     at q^{b + z_j}, so each partner keeps T_n only up to q^{N - cum_n} with
@@ -142,19 +142,18 @@ def _gf_graded(pairs, m, P, Q, D, N):
     A partner whose cut falls below T_n's lowest power skips that level.
     The suffix sums stay full, since S_1 enters T_0 up to q^N.
 
-    On the narrow path each T_0 (packed at W first when the lists are
-    plain) times the cached packed prefactor is masked at the N - off + 1
-    slots of the result and unpacked once.  On the factor path the pairs
-    hold their T_0 as full lists, and for each class r <= min(m, N) that
-    some pair avoids (above N, g_r is 1 mod q^{N+1}), the lists of those
-    pairs, packed into the W-bit lanes of one list (:func:`pack_lanes`),
-    take g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf as two progression passes
-    and are unpacked: at most 2m passes a group, two per class
-    r <= min(m, N) outside {a, b} for a lone pair, so 2(N - 2) for (1, 2)
-    with m > N, and none at m = 2.  A pair with a > N has T_0 = 0 and takes
-    none.  Why every lane fits W after each class is in
-    :func:`bias_series_gf`."""
-    narrow = D == 1 and P <= 1  # x in {0, 1} and integer y; see bias_series_gf
+    On the narrow path (a lone pair, x in {0, 1}, integer y) T_0, packed
+    at W first when the lists are plain, times the cached packed prefactor
+    is masked at the N - off + 1 slots of the result and unpacked once.
+    Every other group runs the class loop of :func:`bias_series_gf` on its
+    T_0 lists, packed once: each class r <= min(m, N) that some pair
+    avoids (above N, g_r is 1 mod q^{N+1}) takes two progression passes
+    over those pairs' lanes, unmasked when every pair avoids it.  That is
+    at most 2m passes a group, two per class r <= min(m, N) outside {a, b}
+    for a lone pair, so 2(N - 2) for (1, 2) with m > N, and none at m = 2,
+    which packs nothing.  A pair with a > N has T_0 = 0 and takes none."""
+    # a lone pair with x in {0, 1} and integer y; see bias_series_gf
+    narrow = len(pairs) == 1 and D == 1 and P <= 1
     wb = 0  # W in whole bytes
     if narrow or len(pairs) > 1:
         wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
@@ -194,13 +193,23 @@ def _gf_graded(pairs, m, P, Q, D, N):
             else:
                 tail = form.unpack(acc, length)
             graded[a, b] = [0] * off + tail
-    if not narrow:
-        for r in range(1, min(m, N) + 1):
-            keys = [key for key in graded if r not in key and key[0] <= N]  # a > N: T_0 = 0
-            if keys:
-                packed = pack_lanes([graded[key] for key in keys], 8 * wb)
-                packed = progression(progression(packed, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
-                graded.update(zip(keys, unpack_lanes(packed, len(keys), 8 * wb)))
+    keys = [] if narrow else [key for key in graded if key[0] <= N]  # a > N: T_0 = 0
+    classes = [(r, lanes) for r in range(1, min(m, N) + 1)  # the lanes avoiding r
+               if (lanes := [i for i, key in enumerate(keys) if r not in key])]
+    if classes:
+        slots, ones = Slots(wb), (1 << 8 * wb) - 1
+        co = (graded[keys[0]] if len(keys) == 1
+              else [slots.pack(column) for column in zip(*(graded[key] for key in keys))])
+        for r, lanes in classes:
+            mask = sum(ones << 8 * wb * i for i in lanes)
+            sel = co if len(lanes) == len(keys) else [v & mask for v in co]
+            out = progression(progression(sel, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
+            co = out if sel is co else [v - s + t for v, s, t in zip(co, sel, out)]
+        if len(keys) == 1:
+            graded[keys[0]] = co
+        else:
+            columns = [slots.unpack(v, len(keys)) for v in co]
+            graded.update(zip(keys, map(list, zip(*columns))))
     return graded
 
 
@@ -242,31 +251,37 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     where a step is a few big-int operations in place of one Python
     operation an entry, when W is at most ``_SLOT_BITS`` = 352 bits (the
     measured ratios are there), and on plain lists otherwise; no slot
-    carries.  The narrow path packs at every bench order, while graded and
+    carries.  Narrow weights pack at every bench order, while graded and
     x >= 2 entries pass that width near N = 200-350.  The other two uses
     are the prefactor's, below.
 
     T_0 is then multiplied by the product prefactor, the product over the
-    m - 2 other classes r of g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf.  With
-    x in {0, 1} and y an integer (the narrow path) the lists hold narrow
-    ints, and the cached prefactor, packed in W-bit slots, times the packed
-    T_0 is one int product.  The prefactor is a sub-product of the total,
-    so its coefficients lie in [0, p_n(x,y)]; every product coefficient up
-    to q^(N - off) is a graded p_n(a,b,m;x,y) < 2^W; and carries of
-    non-negative ints move only upward, so the slots kept, T_0's length,
-    are exact with no sign bias or wider slot.  Otherwise (D^n grading, or
-    x >= 2, the factor path) the entries grow geometrically, and the
-    prefactor acts on T_0 as progression factors in place of a dense
-    product.  Each g_r is applied once, as two passes, to the W-bit lanes
-    of one list (:func:`pack_lanes`) that holds every pair of the group
-    avoiding r, and the lanes are unpacked after each class.  So the lanes
-    hold partial products T_0 prod_{r in S} g_r.  Each g_r has
-    non-negative coefficients and constant term 1, so such a product lies
-    coefficientwise between T_0 and the final graded p_n(a,b,m;x,y) < 2^W,
-    and every lane unpacks exactly after every class, not only at the end.
-    A lone pair is a group of one: its one lane is copied as it is, so it
-    needs no W, and its ladder and Horner lists stay plain, since their W
-    would cost the total's two progression passes.
+    m - 2 other classes r of g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf.  For a
+    lone pair with x in {0, 1} and y an integer (the narrow path: compares
+    and scans) the lists hold narrow ints, and the cached prefactor, packed
+    in W-bit slots, times the packed T_0 is one int product.  The
+    prefactor is a sub-product of the total, so its coefficients lie in
+    [0, p_n(x,y)]; every product coefficient up to q^(N - off) is a graded
+    p_n(a,b,m;x,y) < 2^W; and carries of non-negative ints move only
+    upward, so the slots kept, T_0's length, are exact with no sign bias or
+    wider slot.  Every other call (a group
+    of several pairs, as in a sweep, or a lone pair with D^n grading or
+    x >= 2, whose entries grow geometrically) runs the class loop: the
+    prefactor acts on T_0 as progression factors, not a dense product.
+    The group's T_0 lists are packed once into the W-bit slots of one list
+    (each entry's column through :class:`kernel.Slots`: lane i holds pair
+    i).  Each g_r is applied once, as two passes, to the lanes of the
+    pairs avoiding r, selected by one mask v & M_r and added back to the
+    rest; the list is unpacked once at the end.  So the lanes hold partial
+    products T_0 prod_{r in S} g_r.  Each g_r has non-negative
+    coefficients and constant term 1, so such a product lies
+    coefficientwise between T_0 and the final graded p_n(a,b,m;x,y) < 2^W:
+    every lane lies in [0, 2^W) at every class boundary.  The masks are
+    then exact: a Z-linear map keeps a zero lane zero, whatever the signs
+    on the way, and lanes that do not overlap add without carry.  A lone
+    pair is a group of one: its one lane is its own list, with no W and no
+    mask, and its ladder and Horner lists stay plain, since their W would
+    cost the total's two progression passes.
     """
     positive_order(N)
     P, Q, D = scaled_weights(spec.x, spec.y)

@@ -10,13 +10,13 @@ divided out with one :func:`div_sparse` pass over their nonzero terms each.
 This module is the only place that multiplies such factors in, singly too
 (:func:`mul1`, :func:`div1`), that takes a step q^c (x + y q^e) / (1 - q^f)
 of a weight ladder (:func:`rung`), that shifts or multiplies lists, and
-that packs lists into integers: several lists into the bit lanes of one
-list (:func:`pack_lanes`), a list into the byte slots of one int for
-Kronecker products (:func:`mul_trunc`), and a non-negative list into the
-slots of one int that the ladder step, shifted adds and cuts act on
-directly (:class:`Slots`, with :class:`Lists` the same steps on lists).
-The gf's one entry, ``engine._gf_graded``, decides one width per group
-for its slots, its lanes and its one cached prefactor, packed in slots.
+that packs lists into integers, one way: the byte slots of one int
+(``_pack``, ``_unpack``), for Kronecker products (:func:`mul_trunc`) and
+for a non-negative list that the ladder step, shifted adds and cuts act
+on directly (:class:`Slots`, with :class:`Lists` the same steps on
+lists).  The gf's one entry, ``engine._gf_graded``, decides one width per
+group for its slots, the lanes of its class loop (each entry of a group's
+lists packed in slots) and its one cached prefactor, packed in slots.
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
@@ -305,28 +305,6 @@ class Slots:
 
     def head(self, co, n):
         return co & ((1 << self.W * n) - 1)
-
-
-def pack_lanes(lanes, K):
-    """One list whose entry n is sum_i lanes[i][n] * 2^(K*i), for int lists
-    of one length.  A Z-linear map of such a list, such as a
-    :func:`progression` factor, acts on every lane at once; the result
-    unpacks exactly (:func:`unpack_lanes`) when each lane of it lies in
-    [0, 2^K), whatever the sizes and signs on the way.  One lane is copied
-    as it is and needs no K."""
-    out = list(lanes[-1])
-    for lane in reversed(lanes[:-1]):
-        out = [(v << K) + g for v, g in zip(out, lane)]
-    return out
-
-
-def unpack_lanes(co, k, K):
-    """The k lanes of a :func:`pack_lanes` list whose lanes all lie in
-    [0, 2^K); the top lane is the rest above its shift, unmasked."""
-    mask = (1 << K) - 1
-    lanes = [[(v >> K * i) & mask for v in co] for i in range(k - 1)]
-    lanes.append([v >> K * (k - 1) for v in co])
-    return lanes
 
 
 def scaled_weights(x, y):

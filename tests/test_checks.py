@@ -244,9 +244,10 @@ def reference_sweep(name, specs, N, witnesses=None):
 
 
 def test_grouped_thm1_sweep_matches_the_per_pair_reference():
-    # x = 1 twice; (1, 0) takes the narrow path, and (3/2, y) and (1, 1/2)
-    # the factor path, whose m = 6 groups put 20 lanes on each class factor.
-    # The reference runs every pair alone, on one lane of its own
+    # x = 1 twice; the m = 6 groups put 20 lanes on each class factor, at
+    # narrow weights (1, 0) too.  The reference runs every pair alone: (1, 0)
+    # by the packed prefactor product, (3/2, y) and (1, 1/2) on one lane of
+    # their own
     xs, ys = [1, rational(3, 2), 1], [0, rational(1, 2)]
     specs = [BiasSpec(a, b, m, x, y) for m in range(1, 7) for b in range(2, m + 1)
              for a in range(1, b) for x in xs for y in ys]

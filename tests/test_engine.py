@@ -167,8 +167,9 @@ def in_both_forms(orders):
 
 
 def forbid_mul_trunc(monkeypatch):
-    # the gf takes its prefactor as one packed int product (x in {0, 1},
-    # integer y) or factor by factor, never through mul_trunc, in either
+    # the gf takes its prefactor as one packed int product (a lone pair
+    # with x in {0, 1} and integer y) or class factor by class factor on
+    # masked lanes (every other pair), never through mul_trunc, in either
     # form; dense_double_sum applies it with mul_trunc itself
     def fail(*args):
         raise AssertionError("the gf called mul_trunc")
@@ -217,8 +218,8 @@ def test_gf_graded_partners_match_single_runs_and_dense_sum(N, slot_bits, monkey
     forbid_mul_trunc(monkeypatch)
     # one call over every ordered pair of a group, given out of order: each
     # class builds one ladder, each partner's Horner pass stops at its own
-    # cut N - cum_n, and on the factor path each class factor acts once on
-    # the lanes of the pairs that avoid it.  m = 2 (no class factor), m > N,
+    # cut N - cum_n, and at every weight each class factor acts once on the
+    # masked lanes of the pairs that avoid it.  m = 2 (no class factor), m > N,
     # partners b > N/2 and b > N, x = 0 (the quadratic cut), y = 0 and
     # D = 1, 2, 3
     weights = [(1, 1), (0, 1), (0, 2), (rational(1, 3), rational(2, 3)), (rational(1, 2), 1),
@@ -267,37 +268,50 @@ def test_gf_graded_lanes_fill_their_width(N, slot_bits, monkeypatch):
 def test_group_lanes_rise_to_their_final_values(monkeypatch):
     # each class factor g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf has
     # non-negative coefficients and constant term 1, so after each one a
-    # pair's list lies between its previous value and its final value, the
-    # graded p_n(a,b,m;x,y) < 2^W: the lanes unpack exactly between classes
-    chains = {}  # id of a pair's current list -> its lists so far
-    entering = []
-    real_pack, real_unpack = engine.pack_lanes, engine.unpack_lanes
+    # pair's lane lies between its previous value and its final value, the
+    # graded p_n(a,b,m;x,y) < 2^W: the lanes unpack exactly between classes.
+    # Lane i holds the i-th pair of the result; the lanes of the pairs that
+    # hold r are masked out of g_r's passes and left as they were.  Narrow
+    # weights, x in {0, 1} with integer y, take the same loop
+    passes = []  # (r, lanes entering g_r, lanes after it) of each class
+    real = engine.progression
 
-    def pack(lanes, K):
-        entering[:] = [chains.pop(id(lane), [lane]) for lane in lanes]
-        return real_pack(lanes, K)
+    def spy(co, u, s, m, power, D, N):
+        out = real(co, u, s, m, power, D, N)
+        if power > 0:
+            passes.append((s, co))
+        else:
+            passes[-1] += (out,)
+        return out
 
-    def unpack(co, k, K):
-        lanes = real_unpack(co, k, K)
-        for chain, lane in zip(entering, lanes):
-            chain.append(lane)
-            chains[id(lane)] = chain
-        return lanes
-
-    monkeypatch.setattr(engine, "pack_lanes", pack)
-    monkeypatch.setattr(engine, "unpack_lanes", unpack)
+    monkeypatch.setattr(engine, "progression", spy)
     N = 60
     for m in (3, 5, 7):
         pairs = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
-        for xy in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0), (rational(5, 2), 0)]:
+        for xy in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0), (rational(5, 2), 0), (1, 1),
+                   (0, 1)]:
             P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
-            top = 1 << 8 * -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
-            chains.clear()
-            for (a, b), final in _gf_graded(pairs, m, P, Q, D, N).items():
-                chain = chains[id(final)]
-                assert chain[-1] is final and len(chain) == m - 1, (a, b, m, xy)
+            slots = Slots(-(-max(_total_graded(P, Q, D, N)).bit_length() // 8))
+            top = 1 << slots.W
+            passes.clear()
+            result = _gf_graded(pairs, m, P, Q, D, N)
+            keys, k = list(result), len(result)
+            chains = {}  # each pair's lane before its first class and after each
+            for r, before, after in passes:
+                assert len(before) == len(after) == N + 1, (r, m, xy)
+                before, after = ([list(lane) for lane in zip(*(slots.unpack(v, k) for v in co))]
+                                 for co in (before, after))
+                for key, u, w in zip(keys, before, after):
+                    if r in key:
+                        assert not any(u) and not any(w), (key, r, m, xy)
+                    else:
+                        chain = chains.setdefault(key, [u])
+                        assert chain[-1] == u, (key, r, m, xy)
+                        chain.append(w)
+            for (a, b), final in result.items():
+                chain = chains[a, b]
+                assert chain[-1] == final and len(chain) == m - 1, (a, b, m, xy)
                 for before, after in zip(chain, chain[1:]):
-                    assert len(after) == N + 1
                     assert all(0 <= u <= v <= w < top for u, v, w in zip(before, after, final)), \
                         (a, b, m, xy)
 
@@ -332,12 +346,15 @@ def test_symmetric_closed_forms_match_the_gf_at_depth(N, slot_bits, monkeypatch)
 
 
 def test_factor_path_pass_count(monkeypatch):
-    # every pair, a lone one too, takes 2 passes per class r <= min(m, N)
-    # outside it that some pair of its group avoids, on packed lanes: none
-    # at m = 2, 2 (N - 2) for one pair (and its swap) with m > N, and 2 m
-    # for a whole group.  A pair with a > N has T_0 = 0 and takes none.  A
-    # lone pair's one lane needs no width, so with the cached total cleared
-    # it builds no total, whose 2 passes would show
+    # every pair of a group takes 2 passes per class r <= min(m, N) outside
+    # it that some pair of its group avoids, on packed lanes: none at m = 2,
+    # 2 (N - 2) for one pair (and its swap) with m > N, and 2 m for a whole
+    # group.  A pair with a > N has T_0 = 0 and takes none.  A lone pair on
+    # the factor path takes the same passes on its own list, and its one
+    # lane needs no width, so with the cached total cleared it builds no
+    # total, whose 2 passes would show.  Narrow groups (x in {0, 1},
+    # integer y) take the same loop, but a lone narrow pair takes its
+    # cached packed prefactor in one product and makes no class pass
     calls = []
     real = engine.progression
     monkeypatch.setattr(engine, "progression", lambda *args: calls.append(args) or real(*args))
@@ -348,10 +365,15 @@ def test_factor_path_pass_count(monkeypatch):
              (N + 20, [(50, 1), (1, 50)], 2 * (N - 1)), (7, [(2, 5), (5, 2)], 2 * 5),
              (7, [(2, 1), (2, 5)], 2 * 6), (7, every, 2 * 7), (2, [(1, 2), (2, 1)], 0),
              (N + 9, [(1, 2), (2, 1)], 2 * (N - 2))]
-    for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0)]:
+    for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0), (1, 1), (0, 1)]:
         P, Q, D = scaled_weights(rational(x), rational(y))
+        narrow = D == 1 and P <= 1
         for m, pairs, passes in cases:
-            if len(pairs) == 1:
+            if len(pairs) == 1 and narrow:
+                # the prefactor's own passes, on classes a and b, go into its cache
+                _gf_graded(pairs, m, P, Q, D, N)
+                passes = 0
+            elif len(pairs) == 1:
                 _total_graded.cache_clear()
             else:
                 _total_graded(P, Q, D, N)

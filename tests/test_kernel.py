@@ -191,22 +191,37 @@ def test_slots_rung_matches_the_list_step(D):
         assert slots.unpack(got, len(want)) == want, (co, P, Q, c, e, f, n)
 
 
-@pytest.mark.parametrize("K", [1, 3, 64])
+@pytest.mark.parametrize("K", [1, 3, 8, 64])
 def test_packed_lanes_take_a_linear_factor_exactly(K):
     # lanes h_i in [0, 2^K), the top value included, enter as (1 - q) h_i,
-    # whose entries are negative too; one div1 by (1 - q) on the packed
-    # list must give every h_i back, and a lone lane packs as it is
+    # whose entries are negative too, each entry's column packed in byte
+    # slots; one div1 by (1 - q) on the packed list must give every h_i
+    # back.  A mask then selects some lanes, which take q = q (1 - q) /
+    # (1 - q) through negative entries again, and added back to the rest
+    # they leave the others untouched.  A lone lane packs as it is
     N = 9
     top = (1 << K) - 1
+    slots = kernel.Slots(-(-K // 8))
     lanes = [[top] * (N + 1), [0] * (N + 1), [(j * 7919) & top for j in range(N + 1)],
              [top * (j & 1) for j in range(N + 1)], [top] + [0] * N]
     for k in (1, 2, len(lanes)):
         entering = [[h - p for h, p in zip(lane, [0] + lane)] for lane in lanes[:k]]
-        packed = kernel.pack_lanes(entering, K)
+        packed = [slots.pack(column) for column in zip(*entering)]
+        if k == 1:
+            assert packed == entering[0]
         kernel.div1(packed, 1, 1, N)
-        assert kernel.unpack_lanes(packed, k, K) == lanes[:k], k
-    assert kernel.pack_lanes([lanes[2]], 0) == lanes[2]
-    assert kernel.unpack_lanes(lanes[2], 1, 0) == [lanes[2]]
+        assert [list(lane) for lane in zip(*(slots.unpack(v, k) for v in packed))] == lanes[:k], k
+        chosen = range(0, k, 2)
+        mask = sum(((1 << slots.W) - 1) << slots.W * i for i in chosen)
+        sel = [v & mask for v in packed]
+        step = list(sel)
+        kernel.mul1(step, 1, -1, N)
+        out = [0] * (N + 1)
+        kernel.add_shifted(out, 1, step)
+        kernel.div1(out, 1, 1, N)
+        packed = [v - s + t for v, s, t in zip(packed, sel, out)]
+        want = [[0] + lane[:N] if i in chosen else lane for i, lane in enumerate(lanes[:k])]
+        assert [list(lane) for lane in zip(*(slots.unpack(v, k) for v in packed))] == want, k
 
 
 @pytest.mark.parametrize("power", [2, -2, 0, 3])
