@@ -375,7 +375,10 @@ def _run_sweep(name, specs, N, jobs, witnesses=None) -> SweepReport:
     monotonicity then has no pair c_n, c_{n+m} (:func:`monotonicity_check`
     refuses that too), would pass without comparing anything, so it is
     rejected as an invalid configuration instead; :func:`_sweep_group`
-    calls no entry point that checks the order itself.
+    calls no entry point that checks the order itself.  ``jobs`` defaults
+    to the CPUs this process may run on (its affinity set, where the OS
+    keeps one); any other value must be a positive int, checked before a
+    pool starts.
     """
     positive_order(N)
     if not specs:
@@ -385,8 +388,9 @@ def _run_sweep(name, specs, N, jobs, witnesses=None) -> SweepReport:
         raise InvalidParameterError(
             f"the {name} sweep compares c_n with c_{{n+m}}: N = {N} is below m = {m_top}")
     if jobs is None:
-        jobs = os.cpu_count() or 1
-    elif jobs < 1:
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+    elif not isinstance(jobs, int) or jobs < 1:
         raise InvalidParameterError(f"jobs must be a positive integer, not {jobs!r}")
     groups = {}
     for spec in specs:  # a repeated grid value repeats a spec, run once

@@ -48,8 +48,12 @@ __all__ = [
 def _total_graded(P, Q, D, N):
     """Graded coefficients of (-yq;q)_inf / (xq;q)_inf."""
     if D == 1 and P in (0, 1) and Q in (0, 1):
-        # kept: 1.6-1.8x faster than two progression sums at N = 2000 (0.030 vs 0.054 s)
-        # (-q;q)_inf^Q / (q;q)_inf^P = E_2^Q / E_1^(P+Q), E_s = (q^s;q^s)_inf
+        # kept: faster than two progression sums at N = 2000, best of 7:
+        # 2.1x for (1, 0), 1.7x for (0, 1), 4.8-5.9x for (1, 1) (0.0044 vs 0.023 s)
+        # (-q;q)_inf^Q / (q;q)_inf^P = E_2^Q / E_1^(P+Q), E_s = (q^s;q^s)_inf,
+        # and E_2 / E_1^2 = 1 / phi(-q), phi(-q) = jacobi(1, 2, -1) (Gauss)
+        if P and Q:
+            return tuple(quotient([], [jacobi(1, 2, -1, N)], N))
         return tuple(quotient([euler(2, N)] * Q, [euler(1, N)] * (P + Q), N))
     return tuple(progression(progression([1] + [0] * N, Q, 1, 1, 1, D, N), -P, 1, 1, -1, D, N))
 
@@ -371,18 +375,20 @@ def _symmetric_prefactor(a, m, flavor, N):
     With E_s = (q^s;q^s)_inf and the triple products
     T+ = (-q^a, -q^{m-a}, q^m; q^m)_inf, T- = (q^a, q^{m-a}, q^m; q^m)_inf:
     01 -> E_2 / (E_1 T+), 10 -> T- / (E_1 E_m^3) and
-    11 -> E_2 E_{2m}^2 T- / (E_1^2 E_m^4 T+).
+    11 -> E_2 E_{2m}^2 T- / (E_1^2 E_m^4 T+).  Flavor 11 is taken through
+    Gauss's identity E_s^2 / E_{2s} = phi(-q^s) = sum_{n in Z} (-1)^n q^{s n^2}
+    (G. E. Andrews, *The Theory of Partitions*, ch. 2), the triple product
+    jacobi(s, 2s, -1): it is T- / (phi(-q) phi(-q^m)^2 T+), one numerator
+    and four sparse divisions in place of four and seven.
     """
-    e1, e2, em = euler(1, N), euler(2, N), euler(m, N)
     if flavor == "01":
-        num, den = [e2], [e1, jacobi(a, m, 1, N)]
-    elif flavor == "10":
-        num, den = [jacobi(a, m, -1, N)], [e1, em, em, em]
-    else:
-        e2m = euler(2 * m, N)
-        num = [e2, e2m, e2m, jacobi(a, m, -1, N)]
-        den = [e1, e1, em, em, em, em, jacobi(a, m, 1, N)]
-    return quotient(num, den, N)
+        return quotient([euler(2, N)], [euler(1, N), jacobi(a, m, 1, N)], N)
+    if flavor == "10":
+        em = euler(m, N)
+        return quotient([jacobi(a, m, -1, N)], [euler(1, N), em, em, em], N)
+    phi_m = jacobi(m, 2 * m, -1, N)
+    return quotient([jacobi(a, m, -1, N)],
+                    [jacobi(1, 2, -1, N), phi_m, phi_m, jacobi(a, m, 1, N)], N)
 
 
 def _symmetric_sum(c, m, flavor, N):

@@ -4,9 +4,14 @@ An infinite product is built one of two ways.  :func:`progression`
 multiplies a list c_0..c_N by a product of (1 + u q^e)^(+-1) over an
 arithmetic progression of exponents e >= 1, summed by Horner's rule.
 :func:`quotient` builds eta and theta quotients from sparse series: Jacobi
-triple products (:func:`jacobi`) and Euler's pentagonal series for
-(q^s;q^s)_inf (:func:`euler`), multiplied in with :func:`mul_trunc` and
-divided out with one :func:`div_sparse` pass over their nonzero terms each.
+triple products (:func:`jacobi`, Gauss's phi(-q^s) = E_s^2 / E_{2s} among
+them) and Euler's pentagonal series E_s = (q^s;q^s)_inf (:func:`euler`),
+multiplied in with :func:`mul_trunc` and divided out with one
+:func:`div_sparse` pass over their nonzero terms each, which adds the
+terms of an int -1 and subtracts those of an int +1, and multiplies once
+per n for each other value.  :func:`div1` and the list :func:`rung` add
+rather than multiply by the int 1 as well; a rational 1 is multiplied, so
+every entry keeps the type the plain loop gives it.
 This module is the only place that multiplies such factors in, singly too
 (:func:`mul1`, :func:`div1`), that takes a step q^c (x + y q^e) / (1 - q^f)
 of a weight ladder (:func:`rung`), that shifts or multiplies lists, and
@@ -42,7 +47,14 @@ def mul1(co, e, u, N):
 
 
 def div1(co, e, u, N):
-    """In place: co /= (1 - u*q^e), i.e. co *= sum_k u^k q^{ek}."""
+    """In place: co /= (1 - u*q^e), i.e. co *= sum_k u^k q^{ek}.  The int
+    u = 1 adds each term as it is, which keeps its type as 1 * p does."""
+    if u == 1 and type(u) is int:
+        for n in range(e, N + 1):
+            p = co[n - e]
+            if p:
+                co[n] += p
+        return
     for n in range(e, N + 1):
         p = co[n - e]
         if p:
@@ -102,15 +114,39 @@ def div_sparse(co, s, N):
 
     One pass c_n = f_n - sum_{k>=1} s_k c_{n-k} over the nonzero s_k only,
     so a sparse divisor such as :func:`euler` or :func:`jacobi` costs
-    O(N * nnz) in place of one :func:`div1` pass per factor.
+    O(N * nnz) in place of one :func:`div1` pass per factor.  The terms
+    are grouped by value: an int s_k = -1 adds c_{n-k} and an int +1
+    subtracts it, with no multiply, and every other value v (the 2 of
+    :func:`jacobi`'s theta series, rationals) takes one multiply a group,
+    c_n -= v * sum c_{n-k}.  Each entry keeps the type the plain sum
+    gives it: a rational ±1 is a value of its own, not an int ±1, and a
+    group with no k <= n yet leaves c_n alone.
     """
-    terms = [(k, v) for k, v in enumerate(s[1:N + 1], 1) if v]
+    adds, subs, groups = [], [], {}
+    for k, v in enumerate(s[1:N + 1], 1):
+        if type(v) is int and v in (1, -1):
+            (subs if v == 1 else adds).append(k)
+        elif v:  # keyed by type too: Fraction(2) == 2, but 2 * c keeps an int c an int
+            groups.setdefault((type(v), v), (v, []))[1].append(k)
+    groups = list(groups.values())
     for n in range(1, N + 1):
         c = co[n]
-        for k, v in terms:
+        for k in adds:
             if k > n:
                 break
-            c -= v * co[n - k]
+            c += co[n - k]
+        for k in subs:
+            if k > n:
+                break
+            c -= co[n - k]
+        for v, ks in groups:
+            if ks[0] <= n:
+                t = 0
+                for k in ks:
+                    if k > n:
+                        break
+                    t += co[n - k]
+                c -= v * t
         co[n] = c
     return co
 
@@ -144,7 +180,8 @@ def rung(co, P, Q, D, c, e, f, N):
         return []
     if P:
         w = P * D ** (c - 1)
-        out = [w * g for g in co[:n + 1]]
+        # the int 1 copies; a tuple co (an empty accumulator) becomes a list
+        out = list(co[:n + 1]) if w == 1 and type(w) is int else [w * g for g in co[:n + 1]]
         out += [0] * (n + 1 - len(out))  # co may end before q^n
     else:
         out = [0] * (n + 1)
@@ -161,7 +198,7 @@ def add_shifted(out, off, seg, c=1):
     if end <= off:
         return
     tgt = out[off:end]
-    if c == 1:
+    if c == 1 and type(c) is int:  # a rational 1 still turns int entries rational
         out[off:end] = [t + g for t, g in zip(tgt, seg)]
     else:
         out[off:end] = [t + c * g for t, g in zip(tgt, seg)]

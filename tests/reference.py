@@ -4,6 +4,9 @@ Nothing here imports ``qbias.oracle`` or the series engines' helpers:
 partitions are enumerated from their definitions as plain tuples, the
 digamma function comes from its recurrence and asymptotic expansion, and
 the dense reference sums get their q-shift and sum from two list helpers.
+The kernel's sparse division and unit steps are kept here in their plain
+form, one multiply a term, to check the values and types of their fast
+paths against.
 """
 
 import math
@@ -67,3 +70,48 @@ def shift(s, e):
 def add(s, t):
     """The coefficientwise sum of two series of one order."""
     return TruncatedSeries([u + v for u, v in zip(s.coeffs, t.coeffs, strict=True)])
+
+
+# -- the kernel's sparse division and unit steps, one multiply a term ----------
+
+
+def div1(co, e, u, N):
+    """In place: co /= (1 - u q^e), multiplying every nonzero term by u."""
+    for n in range(e, N + 1):
+        p = co[n - e]
+        if p:
+            co[n] += u * p
+
+
+def div_sparse(co, s, N):
+    """In place: co /= s for s[0] = 1, one multiply per nonzero s_k and n."""
+    terms = [(k, v) for k, v in enumerate(s[1:N + 1], 1) if v]
+    for n in range(1, N + 1):
+        c = co[n]
+        for k, v in terms:
+            if k > n:
+                break
+            c -= v * co[n - k]
+        co[n] = c
+    return co
+
+
+def rung(co, P, Q, D, c, e, f, N):
+    """co q^c (x + y q^e) / (1 - q^f) with x = P/D, y = Q/D on a graded
+    list, from q^c on, with both weights multiplied into every entry."""
+    n = N - c
+    if n < 0:
+        return []
+    if P:
+        w = P * D ** (c - 1)
+        out = [w * g for g in co[:n + 1]]
+        out += [0] * (n + 1 - len(out))
+    else:
+        out = [0] * (n + 1)
+    if Q and e <= n:
+        w = Q * D ** (c + e - 1)
+        for j, g in enumerate(co[:n + 1 - e]):
+            out[e + j] += w * g
+    if f <= n:
+        div1(out, f, D**f, n)
+    return out

@@ -1,5 +1,7 @@
 """Witness search, non-negativity suite, threshold scanner, sweeps."""
 
+import concurrent.futures
+import os
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from qbias import (
     SweepReport,
     TruncatedSeries,
 )
+import qbias.checks as checks
 from qbias.checks import _monotone_graded, _run_sweep, _sweep_group
 from qbias.kernel import ungrade
 from reference import add, shift
@@ -203,6 +206,45 @@ def test_sweeps_reject_jobs_below_one():
             dominance_sweep(3, [1], [0], 20, jobs=jobs)
         with pytest.raises(InvalidParameterError):
             distinct_dominance_sweep(4, [1], 20, jobs=jobs)
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+
+def test_sweeps_reject_jobs_that_are_not_ints(monkeypatch):
+    # refused as an invalid configuration before any process starts, not
+    # as a TypeError from the pool or from the comparison with 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    for jobs in (1.5, "2", 2.0, [2]):
+        with pytest.raises(InvalidParameterError):
+            dominance_sweep(3, [1, 2], [0], 20, jobs=jobs)
+        with pytest.raises(InvalidParameterError):
+            distinct_dominance_sweep(4, [0, 1], 20, jobs=jobs)
+
+
+@pytest.mark.parametrize("affinity, cores", [({0}, 2), (None, 1), (None, None)])
+def test_default_jobs_counts_the_cpus_the_process_may_use(monkeypatch, affinity, cores):
+    # with one usable CPU (an affinity of {0} on a host of two cores, or no
+    # affinity call and one core or an unknown count) every group runs in
+    # this process, where a spy sees each task, and no pool starts
+    want = dominance_sweep(4, [1, 2], [0, 1], 30, jobs=1).to_json_obj()
+    seen = []
+
+    def spy(task):
+        seen.append(task[:3])
+        return _sweep_group(task)
+
+    monkeypatch.setattr(checks, "_sweep_group", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    assert dominance_sweep(4, [1, 2], [0, 1], 30).to_json_obj() == want
+    assert sorted(seen) == sorted((m, x, y) for m in (2, 3, 4) for x in (1, 2) for y in (0, 1))
 
 
 def test_sweeps_reject_orders_below_one():

@@ -1,7 +1,9 @@
 """The truncated list multiply against naive loops; the ladder step's
 offset convention, on lists and on packed slots; the bit-lane packing
 under a linear factor; the progression products and the sparse Euler,
-Jacobi and division passes against dense q-product tables."""
+Jacobi and division passes against dense q-product tables; the fast paths
+of the sparse division and the unit steps against their plain loops, type
+by type; Gauss's identity for phi(-q^m)."""
 
 from fractions import Fraction
 
@@ -10,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import qbias.engine as engine
 import qbias.kernel as kernel
+import reference
 from qbias import TruncatedSeries, rational
-from qbias.kernel import div_sparse, euler, jacobi, mul_trunc, progression, rung
+from qbias.kernel import div_sparse, euler, jacobi, mul_trunc, progression, quotient, rung
 
 
 def dense(table, N, D=1, co=None):
@@ -36,6 +39,11 @@ def naive(a, b, N):
             if i + j <= N:
                 out[i + j] += x * y
     return out
+
+
+def typed(co):
+    # entries with their types: 2 == Fraction(2), but not as typed entries
+    return [(type(v), v) for v in co]
 
 
 def kronecker(a, b, N):
@@ -117,6 +125,9 @@ def test_mul_trunc_never_packs_fractions():
     assert mul_trunc(b, a, N) == naive(a, b, N)
     s = TruncatedSeries(a) * TruncatedSeries(b)
     assert s.coeffs == [rational(v) for v in naive(a, b, N)]
+    # a rational 1 is no int 1: it makes the int entries it meets rational
+    assert typed(mul_trunc([Fraction(1), 0, 3], [2, 5, 7], 2)) == typed(
+        [Fraction(2), Fraction(5), Fraction(13)])
 
 
 # -- the ladder step returns its result from q^c on ---------------------------
@@ -306,6 +317,31 @@ def test_div_sparse_matches_repeated_div1(N):
         assert co == want, exponents
 
 
+@pytest.mark.parametrize("N", ORDERS)
+def test_gauss_phi_times_e2m_is_em_squared(N):
+    # Gauss: phi(-q^m) = sum_{n in Z} (-1)^n q^{m n^2} = E_m^2 / E_{2m}, the
+    # triple product jacobi(m, 2m, -1), with E_s = (q^s;q^s)_inf
+    for m in range(1, 13):
+        phi = jacobi(m, 2 * m, -1, N)
+        want = [0] * (N + 1)
+        for n in range(-N, N + 1):
+            if m * n * n <= N:
+                want[m * n * n] += (-1) ** n
+        assert phi == want, m
+        assert mul_trunc(phi, euler(2 * m, N), N) == mul_trunc(euler(m, N), euler(m, N), N), m
+
+
+@pytest.mark.parametrize("N", ORDERS)
+def test_quotient_with_no_numerator_divides_only(N):
+    parts = range(1, N + 1)
+    assert quotient([], [], N) == [1] + [0] * N
+    assert quotient([], [euler(1, N)], N) == dense([(-1, parts, -1)], N)
+    # the overpartition total (-q;q)_inf / (q;q)_inf, as E_2 / E_1^2 and as 1/phi(-q)
+    want = dense([(1, parts, 1), (-1, parts, -1)], N)
+    assert quotient([], [jacobi(1, 2, -1, N)], N) == want
+    assert quotient([euler(2, N)], [euler(1, N), euler(1, N)], N) == want
+
+
 def dense_prefactor(a, m, flavor, N):
     # the symmetric prefactors as (1 +- q^e) tables, one row per factor power
     parts, evens = range(1, N + 1), range(2, N + 1, 2)
@@ -334,3 +370,58 @@ def test_symmetric_prefactors_and_unit_totals_match_dense_tables(N):
                           ((0, 1), [(1, parts, 1)]),
                           ((1, 1), [(1, parts, 1), (-1, parts, -1)])):
         assert engine._total_graded(x, y, 1, N) == tuple(dense(table, N)), (x, y)
+
+
+# -- the fast paths of the sparse division and unit steps, type by type ------
+
+
+FAST_N = 12
+FAST_LISTS = [
+    [(-1) ** n * (3 * n + 1) for n in range(FAST_N + 1)],
+    [Fraction((-1) ** n * (3 * n + 1), 1 + n % 4) for n in range(FAST_N + 1)],
+    [Fraction(0) if n % 5 == 2 else (-1) ** n * (3 * n + 1) for n in range(FAST_N + 1)],
+]
+FAST_DIVISORS = [
+    [1, -1, 1, 0, -1, 1, 0, 0, 1],  # int +-1 only
+    [1, 2, 0, -2, 0, 0, 2],
+    [1, Fraction(1), 0, Fraction(-1)],
+    [1, 0, 0, Fraction(1, 2)],  # no term below q^3: c_1, c_2 keep their types
+    [1, 0, 2, 0, Fraction(2)],  # equal values of two types
+    [1, -1, 2, Fraction(1), 1, Fraction(2), Fraction(-1), Fraction(1, 2), -2, 0, 1, 2, -1],
+    [1],
+]
+
+
+def test_div_sparse_matches_the_plain_loop_type_by_type():
+    for co in FAST_LISTS:
+        for s in FAST_DIVISORS:
+            for N in (0, 1, 2, 5, FAST_N):
+                want = reference.div_sparse(list(co), s, N)
+                got = list(co)
+                assert div_sparse(got, s, N) is got
+                assert typed(got) == typed(want), (co, s, N)
+
+
+def test_div1_matches_the_plain_loop_type_by_type():
+    for co in FAST_LISTS:
+        for u in (1, Fraction(1), -1, 2, Fraction(1, 2)):
+            for e in (1, 2, 5):
+                for N in (0, 4, FAST_N):
+                    want, got = list(co), list(co)
+                    reference.div1(want, e, u, N)
+                    kernel.div1(got, e, u, N)
+                    assert typed(got) == typed(want), (co, u, e, N)
+
+
+def test_rung_matches_the_plain_loop_type_by_type():
+    # the multipliers 1 and Fraction(1) on both weights, graded and not; an
+    # empty tuple (the gf's zero accumulator) comes back as a list
+    for co in FAST_LISTS + [(), [1]]:
+        for P in (0, 1, Fraction(1), 2):
+            for Q in (0, 1, Fraction(1), 3):
+                for D in (1, 2):
+                    for c, e, f in ((1, 0, 1), (2, 3, 4), (3, 0, 20)):
+                        want = reference.rung(co, P, Q, D, c, e, f, FAST_N)
+                        got = rung(co, P, Q, D, c, e, f, FAST_N)
+                        assert type(got) is list
+                        assert typed(got) == typed(want), (co, P, Q, D, c, e, f)
