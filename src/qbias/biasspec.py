@@ -15,7 +15,7 @@ class BiasSpec(namedtuple("BiasSpec", "a b m x y")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, m: int, x=1, y=0):
-        if not all(isinstance(v, int) for v in (a, b, m)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (a, b, m)):
             raise InvalidParameterError("classes a, b and modulus m must be integers")
         if m < 1:
             raise InvalidParameterError("modulus m must be a positive integer")

@@ -347,7 +347,8 @@ def _sweep_group(task):
     Both orders of every pair come from one :func:`_gf_graded` call, which
     builds each class's ladder once for all its partners and, at every
     weight, applies each prefactor class factor once to the masked lanes of
-    every pair that avoids it.  A pair and its swap come from Horner passes
+    every pair that avoids it; :func:`compare_bias` makes the same call for
+    one pair and its swap.  A pair and its swap come from Horner passes
     over two different ladders, so every comparison still rests on two
     independent runs.  The sequences stay D^n-graded ints, which compare
     at each n as their values do.
@@ -377,8 +378,8 @@ def _run_sweep(name, specs, N, jobs, witnesses=None) -> SweepReport:
     rejected as an invalid configuration instead; :func:`_sweep_group`
     calls no entry point that checks the order itself.  ``jobs`` defaults
     to the CPUs this process may run on (its affinity set, where the OS
-    keeps one); any other value must be a positive int, checked before a
-    pool starts.
+    keeps one); any other value must be a positive int, not a bool,
+    checked before a pool starts.
     """
     positive_order(N)
     if not specs:
@@ -390,7 +391,7 @@ def _run_sweep(name, specs, N, jobs, witnesses=None) -> SweepReport:
     if jobs is None:
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-    elif not isinstance(jobs, int) or jobs < 1:
+    elif isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise InvalidParameterError(f"jobs must be a positive integer, not {jobs!r}")
     groups = {}
     for spec in specs:  # a repeated grid value repeats a spec, run once

@@ -86,14 +86,6 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
     return co
 
 
-@lru_cache(maxsize=64)
-def _prefactor_packed(lo, hi, m, P, Q, D, N, wb):
-    """:func:`_prefactor_graded` packed in slots of wb bytes
-    (:class:`kernel.Slots`), for the gf's narrow-path final multiply; the
-    prefactor's one cache."""
-    return Slots(wb).pack(_prefactor_graded(lo, hi, m, P, Q, D, N))
-
-
 # Widest slot, in bits, at which the gf's ladder and Horner lists are packed
 # (kernel.Slots); wider entries stay in lists.  Ladder and Horner passes with
 # the prefactor stage, packed CPU time over list time, CPython 3.11 on a
@@ -134,10 +126,9 @@ def _gf_graded(pairs, m, P, Q, D, N):
     share the suffix sums, which are built in the rows' place as they are
     read.
 
-    The width W of :func:`bias_series_gf` is decided once, at the top, and
-    serves three uses: the form of the ladder and Horner lists, the narrow
-    path's product slots and the class loop's lanes.  A lone pair off the
-    narrow path holds one lane, which needs no width, so it computes no W.
+    The width W of :func:`bias_series_gf` is read once, at the top, from
+    the cached total, and serves two uses: the form of the ladder and
+    Horner lists and the class loop's lanes.
 
     T_n reaches T_0 only through the steps j < n, whose multipliers start
     at q^{b + z_j}, so each partner keeps T_n only up to q^{N - cum_n} with
@@ -146,22 +137,16 @@ def _gf_graded(pairs, m, P, Q, D, N):
     A partner whose cut falls below T_n's lowest power skips that level.
     The suffix sums stay full, since S_1 enters T_0 up to q^N.
 
-    On the narrow path (a lone pair, x in {0, 1}, integer y) T_0, packed
-    at W first when the lists are plain, times the cached packed prefactor
-    is masked at the N - off + 1 slots of the result and unpacked once.
-    Every other group runs the class loop of :func:`bias_series_gf` on its
-    T_0 lists, packed once: each class r <= min(m, N) that some pair
-    avoids (above N, g_r is 1 mod q^{N+1}) takes two progression passes
-    over those pairs' lanes, unmasked when every pair avoids it.  That is
-    at most 2m passes a group, two per class r <= min(m, N) outside {a, b}
-    for a lone pair, so 2(N - 2) for (1, 2) with m > N, and none at m = 2,
-    which packs nothing.  A pair with a > N has T_0 = 0 and takes none."""
-    # a lone pair with x in {0, 1} and integer y; see bias_series_gf
-    narrow = len(pairs) == 1 and D == 1 and P <= 1
-    wb = 0  # W in whole bytes
-    if narrow or len(pairs) > 1:
-        wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
-    form = Slots(wb) if 0 < 8 * wb <= _SLOT_BITS else Lists
+    Every group, a lone pair too, then runs the class loop of
+    :func:`bias_series_gf` on its T_0 lists, packed once: each class
+    r <= min(m, N) that some pair avoids (above N, g_r is 1 mod q^{N+1})
+    takes two progression passes over those pairs' lanes, unmasked when
+    every pair avoids it.  That is at most 2m passes a group, two per class
+    r <= min(m, N) outside {a, b} for a lone pair, so 2(N - 2) for (1, 2)
+    with m > N, and none at m = 2, which packs nothing.  A pair with a > N
+    has T_0 = 0 and takes none."""
+    wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)  # W in whole bytes
+    form = Slots(wb) if 8 * wb <= _SLOT_BITS else Lists
     partners = {}
     for a, b in pairs:
         partners.setdefault(a, []).append(b)
@@ -187,33 +172,21 @@ def _gf_graded(pairs, m, P, Q, D, N):
                     continue
                 step = form.rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
                 accs[i] = form.add(form.head(suffix, cut - off + 1), top - off + b + z, step)
-        length = N - off + 1  # T_0 from q^off on
         for b, acc in zip(bs, accs):
-            if narrow:
-                slots = Slots(wb)
-                product = (_prefactor_packed(min(a, b), max(a, b), m, P, Q, D, N, wb)
-                           * (slots.pack(acc) if form is Lists else acc))
-                tail = slots.unpack(slots.head(product, length), length)
-            else:
-                tail = form.unpack(acc, length)
-            graded[a, b] = [0] * off + tail
-    keys = [] if narrow else [key for key in graded if key[0] <= N]  # a > N: T_0 = 0
+            graded[a, b] = [0] * off + form.unpack(acc, N - off + 1)  # T_0 from q^off on
+    keys = [key for key in graded if key[0] <= N]  # a > N: T_0 = 0
     classes = [(r, lanes) for r in range(1, min(m, N) + 1)  # the lanes avoiding r
                if (lanes := [i for i, key in enumerate(keys) if r not in key])]
     if classes:
         slots, ones = Slots(wb), (1 << 8 * wb) - 1
-        co = (graded[keys[0]] if len(keys) == 1
-              else [slots.pack(column) for column in zip(*(graded[key] for key in keys))])
+        co = [slots.pack(column) for column in zip(*(graded[key] for key in keys))]
         for r, lanes in classes:
             mask = sum(ones << 8 * wb * i for i in lanes)
             sel = co if len(lanes) == len(keys) else [v & mask for v in co]
             out = progression(progression(sel, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
             co = out if sel is co else [v - s + t for v, s, t in zip(co, sel, out)]
-        if len(keys) == 1:
-            graded[keys[0]] = co
-        else:
-            columns = [slots.unpack(v, len(keys)) for v in co]
-            graded.update(zip(keys, map(list, zip(*columns))))
+        columns = [slots.unpack(v, len(keys)) for v in co]
+        graded.update(zip(keys, map(list, zip(*columns))))
     return graded
 
 
@@ -250,42 +223,32 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     prefactor has non-negative coefficients and constant term 1.  And
     0 <= p_n(a,b,m;x,y) <= p_n(x,y).  So every entry is below 2^W, with W
     the bit length of the largest graded p_n(x,y), n <= N, rounded up to
-    whole bytes.  W serves three uses.  Both halves run on one packed int
-    per list (:class:`kernel.Slots`: entry j in the W-bit slot at bit W j),
-    where a step is a few big-int operations in place of one Python
-    operation an entry, when W is at most ``_SLOT_BITS`` = 352 bits (the
-    measured ratios are there), and on plain lists otherwise; no slot
-    carries.  Narrow weights pack at every bench order, while graded and
-    x >= 2 entries pass that width near N = 200-350.  The other two uses
-    are the prefactor's, below.
+    whole bytes, read from the cached total.  W serves two uses.  Both
+    halves run on one packed int per list (:class:`kernel.Slots`: entry j
+    in the W-bit slot at bit W j), where a step is a few big-int operations
+    in place of one Python operation an entry, when W is at most
+    ``_SLOT_BITS`` = 352 bits (the measured ratios are there), and on plain
+    lists otherwise; no slot carries.  Narrow weights (x in {0, 1}, integer
+    y) pack at every bench order, while graded and x >= 2 entries pass that
+    width near N = 200-350.  The other use is the class loop's lanes, below.
 
     T_0 is then multiplied by the product prefactor, the product over the
-    m - 2 other classes r of g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf.  For a
-    lone pair with x in {0, 1} and y an integer (the narrow path: compares
-    and scans) the lists hold narrow ints, and the cached prefactor, packed
-    in W-bit slots, times the packed T_0 is one int product.  The
-    prefactor is a sub-product of the total, so its coefficients lie in
-    [0, p_n(x,y)]; every product coefficient up to q^(N - off) is a graded
-    p_n(a,b,m;x,y) < 2^W; and carries of non-negative ints move only
-    upward, so the slots kept, T_0's length, are exact with no sign bias or
-    wider slot.  Every other call (a group
-    of several pairs, as in a sweep, or a lone pair with D^n grading or
-    x >= 2, whose entries grow geometrically) runs the class loop: the
-    prefactor acts on T_0 as progression factors, not a dense product.
-    The group's T_0 lists are packed once into the W-bit slots of one list
-    (each entry's column through :class:`kernel.Slots`: lane i holds pair
-    i).  Each g_r is applied once, as two passes, to the lanes of the
-    pairs avoiding r, selected by one mask v & M_r and added back to the
-    rest; the list is unpacked once at the end.  So the lanes hold partial
-    products T_0 prod_{r in S} g_r.  Each g_r has non-negative
-    coefficients and constant term 1, so such a product lies
-    coefficientwise between T_0 and the final graded p_n(a,b,m;x,y) < 2^W:
-    every lane lies in [0, 2^W) at every class boundary.  The masks are
-    then exact: a Z-linear map keeps a zero lane zero, whatever the signs
-    on the way, and lanes that do not overlap add without carry.  A lone
-    pair is a group of one: its one lane is its own list, with no W and no
-    mask, and its ladder and Horner lists stay plain, since their W would
-    cost the total's two progression passes.
+    m - 2 other classes r of g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf, which
+    acts on T_0 as progression factors, not as a dense product, in one
+    class loop for every group.  The group's T_0 lists are packed once
+    into the W-bit slots of one list (each entry's column through
+    :class:`kernel.Slots`: lane i holds pair i).  Each g_r is applied once,
+    as two passes, to the lanes of the pairs avoiding r, selected by one
+    mask v & M_r and added back to the rest; the list is unpacked once at
+    the end.  So the lanes hold partial products T_0 prod_{r in S} g_r.
+    Each g_r has non-negative coefficients and constant term 1, so such a
+    product lies coefficientwise between T_0 and the final graded
+    p_n(a,b,m;x,y) < 2^W: every lane lies in [0, 2^W) at every class
+    boundary.  The masks are then exact: a Z-linear map keeps a zero lane
+    zero, whatever the signs on the way, and lanes that do not overlap add
+    without carry.  A lone pair is a group of one lane, which every class
+    outside {a, b} takes whole, with no mask; :func:`compare_bias` runs a
+    pair and its swap as a group of two.
     """
     positive_order(N)
     P, Q, D = scaled_weights(spec.x, spec.y)
@@ -467,14 +430,24 @@ def compare_bias(spec: BiasSpec, N: int, method: str = "gf") -> BiasReport:
     """Tabulate p_n(a,b,m;x,y) against p_n(b,a,m;x,y) for n <= N.
 
     The swapped sequence always comes from an independent run on the
-    swapped spec, never from algebraic manipulation of the first run.
+    swapped classes, never from algebraic manipulation of the first run.
+    With the gf the pair and its swap are one group of two
+    :func:`_gf_graded` lanes, as in a sweep: the swap comes from its own
+    ladder and its own Horner pass, and only the class loop's passes are
+    shared.  The dp runs once per order.
     """
     if method not in _METHODS:
         raise InvalidParameterError(f"unknown method {method!r}")
-    fn = _METHODS[method]
-    fwd = fn(spec, N)
-    rev = fn(spec.swapped(), N)
-    return BiasReport(spec, method, N, list(fwd.coeffs), list(rev.coeffs))
+    if method == "gf":
+        positive_order(N)
+        P, Q, D = scaled_weights(spec.x, spec.y)
+        fwd, rev = (spec.a, spec.b), (spec.b, spec.a)
+        graded = _gf_graded([fwd, rev], spec.m, P, Q, D, N)
+        values, swapped = ungrade(graded[fwd], D), ungrade(graded[rev], D)
+    else:
+        fn = _METHODS[method]
+        values, swapped = fn(spec, N).coeffs, fn(spec.swapped(), N).coeffs
+    return BiasReport(spec, method, N, list(values), list(swapped))
 
 
 def monotonicity_check(values, m: int):

@@ -19,9 +19,9 @@ that packs lists into integers, one way: the byte slots of one int
 (``_pack``, ``_unpack``), for Kronecker products (:func:`mul_trunc`) and
 for a non-negative list that the ladder step, shifted adds and cuts act
 on directly (:class:`Slots`, with :class:`Lists` the same steps on
-lists).  The gf's one entry, ``engine._gf_graded``, decides one width per
-group for its slots, the lanes of its class loop (each entry of a group's
-lists packed in slots) and its one cached prefactor, packed in slots.
+lists).  The gf's one entry, ``engine._gf_graded``, reads one width per
+group for its slots and the lanes of its class loop (each entry of a
+group's lists packed in slots).
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A

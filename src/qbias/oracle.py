@@ -45,8 +45,9 @@ def _iter_distinct(n: int, maxpart: int):
 
 
 def check_cap(n: int, cap: int):
-    """Reject a size n the enumeration cannot reach: not an integer in 0..cap."""
-    if not isinstance(n, int) or n < 0:
+    """Reject a size n the enumeration cannot reach: not an integer (a bool
+    is not one) in 0..cap."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidParameterError("n must be a non-negative integer")
     if n > cap:
         raise InvalidParameterError(

@@ -58,8 +58,8 @@ def parse_rational(text: str):
 
 
 def positive_order(N) -> int:
-    """The truncation order N, which must be a positive integer."""
-    if not isinstance(N, int) or N < 1:
+    """The truncation order N, which must be a positive integer (not a bool)."""
+    if isinstance(N, bool) or not isinstance(N, int) or N < 1:
         raise InvalidParameterError("order must be a positive integer")
     return N
 

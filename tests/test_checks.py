@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 from qbias import (
     BiasSpec,
     InvalidParameterError,
+    bias_series_gf,
     compare_bias,
     conjecture_scan,
     cross_check_matrix,
@@ -215,9 +216,10 @@ class _NoPool:
 
 def test_sweeps_reject_jobs_that_are_not_ints(monkeypatch):
     # refused as an invalid configuration before any process starts, not
-    # as a TypeError from the pool or from the comparison with 1
+    # as a TypeError from the pool or from the comparison with 1; True, an
+    # int to isinstance, would run as one job
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
-    for jobs in (1.5, "2", 2.0, [2]):
+    for jobs in (1.5, "2", 2.0, [2], True):
         with pytest.raises(InvalidParameterError):
             dominance_sweep(3, [1, 2], [0], 20, jobs=jobs)
         with pytest.raises(InvalidParameterError):
@@ -271,25 +273,30 @@ def test_distinct_dominance_sweep_small():
     assert "(1,3,4)" in rep.witnesses and rep.witnesses["(1,3,4)"] == 2
 
 
+def lone_pair(spec, N):
+    """Both orders of a spec from two lone bias_series_gf runs, each a
+    group of one, and the indices where the first falls below the second."""
+    fwd, rev = bias_series_gf(spec, N).coeffs, bias_series_gf(spec.swapped(), N).coeffs
+    return fwd, rev, [n for n, (p, q) in enumerate(zip(fwd, rev)) if p < q]
+
+
 def reference_sweep(name, specs, N, witnesses=None):
-    """The per-pair sweep report: one compare_bias and two
+    """The per-pair sweep report: two lone gf runs and two
     monotonicity_check calls on ungraded values for every spec."""
     report = SweepReport(name, N, len(specs), witnesses=witnesses or {})
     for spec in specs:
-        rep = compare_bias(spec, N)
-        if rep.violations:
-            report.violations.append((spec.label(), rep.violations))
-        if not (monotonicity_check(rep.values, spec.m)[0]
-                and monotonicity_check(rep.swapped_values, spec.m)[0]):
+        fwd, rev, violations = lone_pair(spec, N)
+        if violations:
+            report.violations.append((spec.label(), violations))
+        if not (monotonicity_check(fwd, spec.m)[0] and monotonicity_check(rev, spec.m)[0]):
             report.violations.append((spec.label(), ["monotonicity"]))
     return report.to_json_obj()
 
 
 def test_grouped_thm1_sweep_matches_the_per_pair_reference():
     # x = 1 twice; the m = 6 groups put 20 lanes on each class factor, at
-    # narrow weights (1, 0) too.  The reference runs every pair alone: (1, 0)
-    # by the packed prefactor product, (3/2, y) and (1, 1/2) on one lane of
-    # their own
+    # narrow weights (1, 0) too.  The reference runs every order of every
+    # pair alone, on one lane of its own
     xs, ys = [1, rational(3, 2), 1], [0, rational(1, 2)]
     specs = [BiasSpec(a, b, m, x, y) for m in range(1, 7) for b in range(2, m + 1)
              for a in range(1, b) for x in xs for y in ys]
@@ -330,15 +337,17 @@ def test_grouped_sweep_reassembles_violations_in_spec_order():
 
 
 def test_sweep_group_matches_compare_bias_pair_by_pair():
+    # against two lone gf runs per pair, and against compare_bias, a group
+    # of two lanes
     for m, x, y in ((4, rational(1, 2), rational(1, 2)), (3, 0, 1)):
         pairs = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
         got = _sweep_group((m, x, y, pairs, 40))
         assert sorted(got) == sorted(pairs)
         for (a, b), (violations, mono) in got.items():
-            rep = compare_bias(BiasSpec(a, b, m, x, y), 40)
-            assert violations == rep.violations
-            assert mono == (monotonicity_check(rep.values, m)[0]
-                            and monotonicity_check(rep.swapped_values, m)[0])
+            spec = BiasSpec(a, b, m, x, y)
+            fwd, rev, want = lone_pair(spec, 40)
+            assert violations == want == compare_bias(spec, 40).violations
+            assert mono == (monotonicity_check(fwd, m)[0] and monotonicity_check(rev, m)[0])
 
 
 @st.composite

@@ -159,18 +159,17 @@ def dense_double_sum(spec, N):
 def in_both_forms(orders):
     """Each order N with the gf's crossover ``_SLOT_BITS`` unbounded, id N,
     and at 0, id N-lists.  Every order here sits below the crossover, so
-    unbounded is the form the gf picks (kernel.Slots wherever it computes
-    the width) and 0 keeps the plain lists covered."""
+    unbounded is the form the gf picks (kernel.Slots) and 0 keeps the plain
+    lists covered."""
     return pytest.mark.parametrize("N, slot_bits", [
         pytest.param(N, bits, id=f"{N}{tag}")
         for bits, tag in ((math.inf, ""), (0, "-lists")) for N in orders])
 
 
 def forbid_mul_trunc(monkeypatch):
-    # the gf takes its prefactor as one packed int product (a lone pair
-    # with x in {0, 1} and integer y) or class factor by class factor on
-    # masked lanes (every other pair), never through mul_trunc, in either
-    # form; dense_double_sum applies it with mul_trunc itself
+    # the gf takes its prefactor class factor by class factor on masked
+    # lanes, a lone pair too, never through mul_trunc, in either form;
+    # dense_double_sum applies it with mul_trunc itself
     def fail(*args):
         raise AssertionError("the gf called mul_trunc")
 
@@ -317,9 +316,11 @@ def test_group_lanes_rise_to_their_final_values(monkeypatch):
 
 
 def test_prefactor_is_bounded_by_the_total():
-    # the narrow path's packed product is exact at the total's width only
-    # because the prefactor, a sub-product of the total over the other
-    # classes, has coefficients in [0, total]
+    # the gf's width W, read from the total, rests on the prefactor (the
+    # product of the class factors g_r outside {a, b}) having non-negative
+    # coefficients and constant term 1: then T_0 <= p(a,b,m;x,y) <= total,
+    # and every lane of the class loop rises to its final value below 2^W.
+    # A sub-product of the total, its coefficients lie in [0, total]
     N = 200
     for P, Q in [(x, y) for x in (0, 1) for y in range(4) if x or y]:
         total = _total_graded(P, Q, 1, N)
@@ -349,12 +350,9 @@ def test_factor_path_pass_count(monkeypatch):
     # every pair of a group takes 2 passes per class r <= min(m, N) outside
     # it that some pair of its group avoids, on packed lanes: none at m = 2,
     # 2 (N - 2) for one pair (and its swap) with m > N, and 2 m for a whole
-    # group.  A pair with a > N has T_0 = 0 and takes none.  A lone pair on
-    # the factor path takes the same passes on its own list, and its one
-    # lane needs no width, so with the cached total cleared it builds no
-    # total, whose 2 passes would show.  Narrow groups (x in {0, 1},
-    # integer y) take the same loop, but a lone narrow pair takes its
-    # cached packed prefactor in one product and makes no class pass
+    # group.  A pair with a > N has T_0 = 0 and takes none.  A lone pair is
+    # a group of one lane and takes the same passes, at every weight; with
+    # the total cached, its width W costs no pass either
     calls = []
     real = engine.progression
     monkeypatch.setattr(engine, "progression", lambda *args: calls.append(args) or real(*args))
@@ -367,16 +365,8 @@ def test_factor_path_pass_count(monkeypatch):
              (N + 9, [(1, 2), (2, 1)], 2 * (N - 2))]
     for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0), (1, 1), (0, 1)]:
         P, Q, D = scaled_weights(rational(x), rational(y))
-        narrow = D == 1 and P <= 1
+        _total_graded(P, Q, D, N)
         for m, pairs, passes in cases:
-            if len(pairs) == 1 and narrow:
-                # the prefactor's own passes, on classes a and b, go into its cache
-                _gf_graded(pairs, m, P, Q, D, N)
-                passes = 0
-            elif len(pairs) == 1:
-                _total_graded.cache_clear()
-            else:
-                _total_graded(P, Q, D, N)
             calls.clear()
             _gf_graded(pairs, m, P, Q, D, N)
             assert len(calls) == passes, (x, y, m, pairs)
@@ -614,6 +604,38 @@ def test_compare_bias_report_shape():
     assert rep.signs[0] == 0
     assert len(rep.values) == 31
     assert rep.violations == []
+
+
+def test_orders_refuse_bools():
+    # True is an int to isinstance; as an order it would give the series
+    # [1, 2] of order 1
+    spec = BiasSpec(1, 2, 3, 1, 1)
+    for N in (True, False):
+        for call in (lambda: total_weighted_series(1, 1, N), lambda: bias_series_gf(spec, N),
+                     lambda: bias_series_dp(spec, N), lambda: compare_bias(spec, N)):
+            with pytest.raises(InvalidParameterError):
+                call()
+
+
+def test_compare_bias_matches_lone_runs():
+    # with the gf, a pair and its swap are one group of two lanes; each
+    # order must equal its own lone run, values and entry types, at m = 2
+    # (no class factor), m > N, a > N (T_0 = 0), x = 0, x >= 2 and D = 2.
+    # The dp runs each order on its own
+    N = 30
+    triples = [(1, 2, 2), (2, 1, 2), (1, 2, 3), (2, 5, 7), (3, 1, 4), (1, 2, N + 5),
+               (N + 2, 1, N + 4)]
+    weights = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 0), (0, rational(3, 2)),
+               (rational(3, 2), rational(1, 2))]
+    for abm in triples:
+        for xy in weights:
+            spec = BiasSpec(*abm, *xy)
+            for method, fn, n in (("gf", bias_series_gf, N), ("dp", bias_series_dp, 12)):
+                rep = compare_bias(spec, n, method)
+                for got, want in ((rep.values, fn(spec, n).coeffs),
+                                  (rep.swapped_values, fn(spec.swapped(), n).coeffs)):
+                    assert got == want, (spec, method)
+                    assert list(map(type, got)) == list(map(type, want)), (spec, method)
 
 
 def test_bias_spec_is_an_immutable_value():

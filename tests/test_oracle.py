@@ -12,6 +12,7 @@ from qbias import (
     rational,
     total_weighted_series,
 )
+from qbias.oracle import check_cap
 from reference import distinct_partitions, partitions, residue_count
 
 # first values of the classical counting sequences
@@ -55,6 +56,16 @@ def test_distinct_6_listing():
 def test_enumeration_cap():
     with pytest.raises(InvalidParameterError):
         oracle_total(1, 0, 37)
+
+
+def test_enumeration_cap_refuses_bools():
+    # a bool is an int to isinstance, but True is no size
+    check_cap(1, 36)
+    for n in (True, False):
+        with pytest.raises(InvalidParameterError):
+            check_cap(n, 36)
+        with pytest.raises(InvalidParameterError):
+            oracle_total(1, 0, n)
 
 
 def test_residue_counts_sum_to_length():
@@ -169,6 +180,14 @@ def test_spec_validation():
     for a, b in ((1.5, 2), (1, 2.0)):
         with pytest.raises(InvalidParameterError):
             BiasSpec(a, b, 3, 1, 0)
+
+
+def test_spec_refuses_bool_classes_and_modulus():
+    # BiasSpec(True, 2, 2) would label itself (True,2,2;...) and write
+    # "a": true in a report
+    for abm in ((True, 2, 2), (2, True, 2), (1, 2, True), (False, 1, 2)):
+        with pytest.raises(InvalidParameterError):
+            BiasSpec(*abm, 1, 0)
 
 
 @settings(max_examples=25, deadline=None)
