@@ -345,13 +345,14 @@ def _sweep_group(task):
     sequences monotone)}.
 
     Both orders of every pair come from one :func:`_gf_graded` call, which
-    builds each class's ladder once for all its partners and, at every
-    weight, applies each prefactor class factor once to the masked lanes of
-    every pair that avoids it; :func:`compare_bias` makes the same call for
-    one pair and its swap.  A pair and its swap come from Horner passes
-    over two different ladders, so every comparison still rests on two
-    independent runs.  The sequences stay D^n-graded ints, which compare
-    at each n as their values do.
+    builds one ladder, the smallest class's, moves its rows up for every
+    other class and, at every weight, applies each prefactor class factor
+    once to the masked lanes of every pair that avoids it;
+    :func:`compare_bias` makes the same call for one pair and its swap.  A
+    pair and its swap come from two Horner passes, each over its own
+    class's rows, so every comparison still rests on two runs.  The
+    sequences stay D^n-graded ints, which compare at each n as their
+    values do.
     """
     m, x, y, pairs, N = task
     P, Q, D = scaled_weights(x, y)

@@ -99,6 +99,11 @@ def _prefactor_graded(lo, hi, m, P, Q, D, N):
 _SLOT_BITS = 352
 
 
+def _form(wb):
+    """The form of the gf's lists whose entries take wb bytes each."""
+    return Slots(wb) if 8 * wb <= _SLOT_BITS else Lists(wb)
+
+
 def _gf_ladder(a, m, P, Q, D, N, form):
     """The upward half of :func:`bias_series_gf` for class a: the rows
     A_k for k >= 1 as (offset, tail) pairs, each tail in ``form``, the same
@@ -118,17 +123,32 @@ def _gf_ladder(a, m, P, Q, D, N, form):
     return rows
 
 
+def _class_row(row, k, shift, D, N, form):
+    """Row k of class lo + shift from row k of class lo, ``row`` = (offset,
+    tail), or None once it starts above q^N.  A_k = q^{ak} L_k, so class
+    a's row is lo's moved up (a - lo) k places: its tail is lo's cut to
+    the N - offset + 1 entries left, times D^((a - lo) k) for the grading."""
+    off, tail = row
+    off += shift * k
+    if off > N:
+        return None
+    return off, form.scale(form.head(tail, N - off + 1), D ** (shift * k))
+
+
 def _gf_graded(pairs, m, P, Q, D, N):
     """p_n(a,b,m;x,y) D^n for n <= N, as {(a, b): list}, for the ordered
-    pairs (a, b) of one group, by :func:`bias_series_gf`.  Each class a's
-    ladder is built once and used up before the next class's: one Horner
-    pass per partner b goes down it, and the passes go down together and
-    share the suffix sums, which are built in the rows' place as they are
-    read.
+    pairs (a, b) of one group, by :func:`bias_series_gf`.  Only the
+    group's smallest class lo builds a ladder (:func:`_gf_ladder`); every
+    other class a reads its row k off lo's (:func:`_class_row`).  One
+    Horner pass per pair goes down the rows, and all classes go down
+    together, level by level, highest class first: each reads lo's row
+    n + 1, turns it into its suffix sum S_{n+1} and takes its partners'
+    steps, and lo, the last reader, drops the row.  So the group holds one
+    ladder, which shrinks as the suffix sums grow.
 
     The width W of :func:`bias_series_gf` is read once, at the top, from
     the cached total, and serves two uses: the form of the ladder and
-    Horner lists and the class loop's lanes.
+    Horner lists and that of the class loop's lanes.
 
     T_n reaches T_0 only through the steps j < n, whose multipliers start
     at q^{b + z_j}, so each partner keeps T_n only up to q^{N - cum_n} with
@@ -137,32 +157,39 @@ def _gf_graded(pairs, m, P, Q, D, N):
     A partner whose cut falls below T_n's lowest power skips that level.
     The suffix sums stay full, since S_1 enters T_0 up to q^N.
 
-    Every group, a lone pair too, then runs the class loop of
-    :func:`bias_series_gf` on its T_0 lists, packed once: each class
+    Each T_0 leaves its pass as N + 1 slots of W/8 little-endian bytes.
+    The group's lanes are interleaved into one buffer, lane i of entry n
+    in the i-th W-bit slot of the entry's K W/8 bytes, K the number of
+    lanes, and the class loop of :func:`bias_series_gf` runs on it: one
+    packed int of N + 1 such entries (:class:`kernel.Slots`) when K W is
+    at most ``_SLOT_BITS``, else one int an entry in a list.  Each class
     r <= min(m, N) that some pair avoids (above N, g_r is 1 mod q^{N+1})
     takes two progression passes over those pairs' lanes, unmasked when
     every pair avoids it.  That is at most 2m passes a group, two per class
     r <= min(m, N) outside {a, b} for a lone pair, so 2(N - 2) for (1, 2)
-    with m > N, and none at m = 2, which packs nothing.  A pair with a > N
-    has T_0 = 0 and takes none."""
+    with m > N, and none at m = 2, which interleaves nothing.  A pair with
+    a > N has T_0 = 0 and takes none.  The lanes are split back into bytes
+    and each result list is read once, at the end."""
     wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)  # W in whole bytes
-    form = Slots(wb) if 8 * wb <= _SLOT_BITS else Lists
+    form = _form(wb)
     partners = {}
     for a, b in pairs:
         partners.setdefault(a, []).append(b)
-    graded = {}
-    for a, bs in partners.items():
-        rows = _gf_ladder(a, m, P, Q, D, N, form)
-        if not rows:
-            graded.update(((a, b), [0] * (N + 1)) for b in bs)
-            continue
-        accs = [form.zero for _ in bs]  # T_{n+1} from q^top on
-        off, suffix = N + 1, form.zero  # nothing above the top row
-        for n in range(len(rows) - 1, -1, -1):
-            z = 0 if P else n * m
-            top = off
-            off, tail = rows.pop()  # row n + 1 becomes the suffix S_{n+1}
-            suffix = form.add(tail, top - off, suffix)
+    lo = min(partners)
+    rows = _gf_ladder(lo, m, P, Q, D, N, form)
+    # each class, lo last: [offset of its lowest row yet, S_{n+1}, T_{n+1} of each partner]
+    state = [(a, bs, [N + 1, form.zero, [form.zero] * len(bs)])
+             for a, bs in sorted(partners.items(), reverse=True)]
+    for n in range(len(rows) - 1, -1, -1):
+        z = 0 if P else n * m
+        shared = rows.pop()  # lo's row n + 1, read by every class
+        for a, bs, st in state:
+            row = shared if a == lo else _class_row(shared, n + 1, a - lo, D, N, form)
+            if row is None:  # class a's row n + 1 starts above q^N
+                continue
+            top, suffix, accs = st
+            off, tail = row
+            suffix = form.add(tail, top - off, suffix)  # row n + 1 becomes S_{n+1}
             for i, b in enumerate(bs):
                 cut = N - n * b - (0 if P else m * n * (n - 1) // 2)
                 # T_n starts above its cut and adds nothing; the cut rises and
@@ -172,22 +199,36 @@ def _gf_graded(pairs, m, P, Q, D, N):
                     continue
                 step = form.rung(accs[i], P, Q, D, b + z, n * m - z, (n + 1) * m, cut - top)
                 accs[i] = form.add(form.head(suffix, cut - off + 1), top - off + b + z, step)
-        for b, acc in zip(bs, accs):
-            graded[a, b] = [0] * off + form.unpack(acc, N - off + 1)  # T_0 from q^off on
-    keys = [key for key in graded if key[0] <= N]  # a > N: T_0 = 0
-    classes = [(r, lanes) for r in range(1, min(m, N) + 1)  # the lanes avoiding r
-               if (lanes := [i for i, key in enumerate(keys) if r not in key])]
+            st[:2] = off, suffix
+    lanes = {}  # T_0 as bytes, for the pairs with a <= N
+    for a, bs, (off, _, accs) in state:
+        if off <= N:
+            lanes.update(((a, b), bytes(wb * off) + form.tobytes(acc, N + 1 - off))
+                         for b, acc in zip(bs, accs))
+    keys = [key for key in pairs if key in lanes]  # lane i holds keys[i]
+    classes = [(r, chosen) for r in range(1, min(m, N) + 1)  # the lanes avoiding r
+               if (chosen := [i for i, key in enumerate(keys) if r not in key])]
     if classes:
-        slots, ones = Slots(wb), (1 << 8 * wb) - 1
-        co = [slots.pack(column) for column in zip(*(graded[key] for key in keys))]
-        for r, lanes in classes:
-            mask = sum(ones << 8 * wb * i for i in lanes)
-            sel = co if len(lanes) == len(keys) else [v & mask for v in co]
-            out = progression(progression(sel, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
-            co = out if sel is co else [v - s + t for v, s, t in zip(co, sel, out)]
-        columns = [slots.unpack(v, len(keys)) for v in co]
-        graded.update(zip(keys, map(list, zip(*columns))))
-    return graded
+        K = len(keys)
+        S = K * wb
+        buf = bytearray(S * (N + 1))
+        for i, key in enumerate(keys):
+            for j in range(wb):
+                buf[i * wb + j::S] = lanes[key][j::wb]
+        lane = _form(S)
+        co = lane.frombytes(buf)
+        for r, chosen in classes:
+            pattern = b"".join(b"\xff" * wb if i in chosen else bytes(wb) for i in range(K))
+            sel = co if len(chosen) == K else lane.keep(co, pattern, N + 1)
+            out = lane.progression(lane.progression(sel, Q, r, m, 1, D, N), -P, r, m, -1, D, N)
+            co = out if sel is co else lane.replace(co, sel, out)
+        buf = lane.tobytes(co, N + 1)
+        for i, key in enumerate(keys):
+            t = lanes[key] = bytearray(wb * (N + 1))
+            for j in range(wb):
+                t[j::wb] = buf[i * wb + j::S]
+    read = Lists(wb).frombytes
+    return {key: read(lanes[key]) if key in lanes else [0] * (N + 1) for key in pairs}
 
 
 def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
@@ -208,9 +249,16 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     j < n, whose multipliers start at q^{b + z_j} (z_j = 0, or jm when
     x = 0), so a pass keeps T_n only up to q^{N - cum_n} with
     cum_n = sum_{j<n} (b + z_j); the suffix sums stay full, since S_1 is
-    T_0's own term.  The rows do not depend on b, so a sweep
-    builds them once per class and runs the downward passes of all its
-    partners together.  Row n+1 turns into S_{n+1} only when the passes
+    T_0's own term.  The rows do not depend on b, and L_k depends on
+    neither class, so class a's rows are q^{(a - lo)k} times those of any
+    class lo < a: a group builds the rows of its smallest class lo only.
+    Class a's row k is lo's tail moved up (a - lo) k places, that is cut
+    to the N - off_k(a) + 1 entries left below q^{N+1} and, graded,
+    multiplied by D^((a - lo) k) (no multiply when D = 1); it is derived
+    when a's pass reaches it.  The downward passes of every partner of
+    every class go down together, level by level, the classes highest
+    first, so that lo, whose own row turns into its suffix sum in place,
+    reads each row last.  Row n+1 turns into S_{n+1} only when the passes
     reach it, and is then dropped: A_k is nonzero only at q^{ak + jm},
     while the suffix sums fill every residue, so holding them all would
     take about m times the ints of the rows.
@@ -235,18 +283,29 @@ def bias_series_gf(spec: BiasSpec, N: int) -> TruncatedSeries:
     T_0 is then multiplied by the product prefactor, the product over the
     m - 2 other classes r of g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf, which
     acts on T_0 as progression factors, not as a dense product, in one
-    class loop for every group.  The group's T_0 lists are packed once
-    into the W-bit slots of one list (each entry's column through
-    :class:`kernel.Slots`: lane i holds pair i).  Each g_r is applied once,
-    as two passes, to the lanes of the pairs avoiding r, selected by one
-    mask v & M_r and added back to the rest; the list is unpacked once at
-    the end.  So the lanes hold partial products T_0 prod_{r in S} g_r.
-    Each g_r has non-negative coefficients and constant term 1, so such a
-    product lies coefficientwise between T_0 and the final graded
-    p_n(a,b,m;x,y) < 2^W: every lane lies in [0, 2^W) at every class
-    boundary.  The masks are then exact: a Z-linear map keeps a zero lane
-    zero, whatever the signs on the way, and lanes that do not overlap add
-    without carry.  A lone pair is a group of one lane, which every class
+    class loop for every group.  Each T_0 leaves its pass as N + 1 slots
+    of W/8 little-endian bytes, and the group's K lanes are interleaved
+    byte by byte into the K W/8-byte entries of one buffer, lane i for
+    pair i.  When K W is at most ``_SLOT_BITS`` the loop runs on one int
+    of those entries (:class:`kernel.Slots`: packed Horner steps, and a
+    doubling step for Cauchy's 1/(1 - v q^e)), else on a list of one int
+    an entry.  Each g_r is
+    applied once, as two passes, to the lanes of the pairs avoiding r,
+    selected by one mask and added back to the rest; at the end the lanes
+    are split back into bytes and each result list is read once.  So the
+    lanes hold partial products T_0 prod_{r in S} g_r.  Each g_r has
+    non-negative coefficients and constant term 1, so such a product lies
+    coefficientwise between T_0 and the final graded p_n(a,b,m;x,y) < 2^W:
+    every lane lies in [0, 2^W) at every class boundary.  The masks are
+    then exact: a Z-linear map keeps a zero lane zero, whatever the signs
+    on the way, and lanes that do not overlap add without carry.  The
+    packed passes are exact for the reason the ladder is: with x, y >= 0
+    every Horner partial inside a pass, T_{k-1} = co + (term k / term k-1)
+    T_k, is a non-negative sub-sum of that pass's output, since each
+    step's lowest coefficient is a graded x or y, at least 1, and every
+    doubling partial of 1/(1 - v q^e) or 1/(1 - D^f q^f) is a sub-sum of
+    the full geometric sum; the output is below 2^W in every lane, so no
+    slot carries.  A lone pair is a group of one lane, which every class
     outside {a, b} takes whole, with no mask; :func:`compare_bias` runs a
     pair and its swap as a group of two.
     """
@@ -429,12 +488,14 @@ class BiasReport:
 def compare_bias(spec: BiasSpec, N: int, method: str = "gf") -> BiasReport:
     """Tabulate p_n(a,b,m;x,y) against p_n(b,a,m;x,y) for n <= N.
 
-    The swapped sequence always comes from an independent run on the
-    swapped classes, never from algebraic manipulation of the first run.
+    The swapped sequence always comes from its own run on the swapped
+    classes, never from algebraic manipulation of the first run's values.
     With the gf the pair and its swap are one group of two
     :func:`_gf_graded` lanes, as in a sweep: the swap comes from its own
-    ladder and its own Horner pass, and only the class loop's passes are
-    shared.  The dp runs once per order.
+    Horner pass over its own class's rows, and only the weight ladder L_k
+    (which depends on neither class; the larger class's rows are the
+    smaller's moved up) and the class loop's passes are shared.  The dp
+    runs once per order.
     """
     if method not in _METHODS:
         raise InvalidParameterError(f"unknown method {method!r}")

@@ -15,13 +15,16 @@ every entry keeps the type the plain loop gives it.
 This module is the only place that multiplies such factors in, singly too
 (:func:`mul1`, :func:`div1`), that takes a step q^c (x + y q^e) / (1 - q^f)
 of a weight ladder (:func:`rung`), that shifts or multiplies lists, and
-that packs lists into integers, one way: the byte slots of one int
-(``_pack``, ``_unpack``), for Kronecker products (:func:`mul_trunc`) and
-for a non-negative list that the ladder step, shifted adds and cuts act
-on directly (:class:`Slots`, with :class:`Lists` the same steps on
-lists).  The gf's one entry, ``engine._gf_graded``, reads one width per
-group for its slots and the lanes of its class loop (each entry of a
-group's lists packed in slots).
+that packs lists into integers, one way: the little-endian byte slots of
+one int (``_pack``, ``_unpack``), for Kronecker products
+(:func:`mul_trunc`) and for a non-negative list that the ladder step, the
+progression passes (:meth:`Slots.progression`, for non-negative terms),
+shifted adds and cuts act on directly (:class:`Slots`, with
+:class:`Lists` the same steps on lists; both write and read their lists
+as such bytes).  The gf's one entry, ``engine._gf_graded``, reads one
+width W per group: its ladder and Horner lists take W-bit slots, and its
+class loop K lanes side by side in each K W-bit entry, each lane moving
+in and out as bytes.
 
 Lists may be *graded*: a series whose weights have common denominator D
 carries c_n * D^n at index n, so weighted products stay in integers.  A
@@ -61,6 +64,21 @@ def div1(co, e, u, N):
             co[n] += u * p
 
 
+def _horner_terms(u, s, m, power, N):
+    """(k, n, c, e) for each Horner term k of :func:`progression`, the top
+    one first: T_{k-1} = co + (term k / term k-1) T_k is used mod q^{n+1},
+    the step from T_k starts at q^c, and for power -1 it also takes
+    Cauchy's factor 1/(1 + u D^(e-1) q^e)."""
+    if power not in (1, -1):
+        raise ValueError(f"progression products take power +1 or -1, not {power!r}")
+    h = m if power > 0 else 2 * m  # the n-th term sits at q^{sn + h n(n-1)/2}
+    terms = 0
+    while u and s * (terms + 1) + h * terms * (terms + 1) // 2 <= N:
+        terms += 1
+    return [(k, N - s * (k - 1) - h * (k - 1) * (k - 2) // 2, s + h * (k - 1), s + m * (k - 1))
+            for k in range(terms, 0, -1)]
+
+
 def progression(co, u, s, m, power, D, N):
     """co * prod_{k>=0} (1 + u D^(e-1) q^e)^power over e = s + km mod q^{N+1},
     as a new list, for s, m >= 1 and power +1 or -1.  With z = power * u / D
@@ -69,19 +87,10 @@ def progression(co, u, s, m, power, D, N):
     (G. E. Andrews, *The Theory of Partitions*, ch. 2), taken by Horner's
     rule seeded with co, one :func:`rung` a term.
     """
-    if power not in (1, -1):
-        raise ValueError(f"progression products take power +1 or -1, not {power!r}")
-    h = m if power > 0 else 2 * m  # the n-th term sits at q^{sn + h n(n-1)/2}
-    terms = 0
-    while u and s * (terms + 1) + h * terms * (terms + 1) // 2 <= N:
-        terms += 1
     out = list(co)
-    for k in range(terms, 0, -1):  # T_{k-1} = co + (term k / term k-1) T_k
-        n = N - s * (k - 1) - h * (k - 1) * (k - 2) // 2  # T_{k-1} is used mod q^{n+1}
-        c = s + h * (k - 1)
+    for k, n, c, e in _horner_terms(u, s, m, power, N):
         step = rung(out, power * u, 0, D, c, 0, m * k, n)  # from q^c on
         if power < 0:
-            e = s + m * (k - 1)
             div1(step, e, -u * D ** (e - 1), n - c)
         out = list(co[:n + 1])  # co may be a cached tuple
         add_shifted(out, c, step)
@@ -244,10 +253,9 @@ def _pack(co, wb):
     return packed
 
 
-def _unpack(v, n, wb):
-    """The n slots of wb bytes of a non-negative v < 2^(8*wb*n), lowest first."""
-    buf = v.to_bytes(wb * n, "little")
-    return [int.from_bytes(buf[i:i + wb], "little") for i in range(0, wb * n, wb)]
+def _unpack(buf, wb):
+    """The little-endian slots of wb bytes of buf as ints, lowest first."""
+    return [int.from_bytes(buf[i:i + wb], "little") for i in range(0, len(buf), wb)]
 
 
 def _kronecker(a, b, N, wb):
@@ -261,25 +269,26 @@ def _kronecker(a, b, N, wb):
     half = 1 << (8 * wb - 1)
     bias = int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
     prod = (_pack(a, wb) * _pack(b, wb) + bias) & ((1 << (8 * wb * n)) - 1)
-    return [v - half for v in _unpack(prod, n, wb)]
+    return [v - half for v in _unpack(prod.to_bytes(wb * n, "little"), wb)]
 
 
 class Lists:
-    """The gf's ladder and Horner lists as plain lists: entry j of a list
-    from q^o on is the graded coefficient at q^(o+j).  :class:`Slots` has
+    """The gf's ladder, Horner and lane lists as plain lists: entry j of a
+    list from q^o on is the graded coefficient at q^(o+j), and a list of n
+    entries moves as n slots of wb little-endian bytes.  :class:`Slots` has
     the same members on one packed int, so one loop serves both."""
 
     zero = ()
+
+    def __init__(self, wb):
+        self.wb = wb
 
     @staticmethod
     def pack(co):
         return co
 
-    @staticmethod
-    def unpack(co, n):
-        return co
-
     rung = staticmethod(rung)
+    progression = staticmethod(progression)
 
     @staticmethod
     def add(out, off, seg):
@@ -290,18 +299,44 @@ class Lists:
     def head(co, n):
         return co[:n]
 
+    @staticmethod
+    def scale(co, w):
+        return co if w == 1 else [w * g for g in co]
+
+    @staticmethod
+    def keep(co, pattern, n):
+        """Each entry masked by the little-endian bytes of ``pattern``."""
+        mask = int.from_bytes(pattern, "little")
+        return [v & mask for v in co]
+
+    @staticmethod
+    def replace(co, sel, out):
+        """co with its part sel, taken by :meth:`keep`, replaced by out."""
+        return [v - s + t for v, s, t in zip(co, sel, out)]
+
+    def tobytes(self, co, n):
+        """The n entries of co, each in wb bytes."""
+        return b"".join([v.to_bytes(self.wb, "little") for v in co])
+
+    def frombytes(self, buf):
+        return _unpack(buf, self.wb)
+
 
 class Slots:
-    """The gf's ladder and Horner lists packed as one non-negative int,
-    entry j in the W-bit slot at bit W*j, W = 8*wb (Kronecker substitution;
-    D. Harvey, J. Symbolic Comput. 44 (2009)).  A step is then a few big-int
-    operations in place of one Python operation an entry.
+    """The gf's ladder, Horner and lane lists packed as one non-negative
+    int, entry j in the W-bit slot at bit W*j, W = 8*wb (Kronecker
+    substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).  A step is
+    then a few big-int operations in place of one Python operation an
+    entry.  An entry may itself hold lanes, narrower slots side by side:
+    every operation below is Z-linear with scalar multipliers, so it acts
+    on each lane alone.
 
-    Exact only while every entry on the way lies in [0, 2^W): a slot that
-    overflows carries into the next.  That holds for non-negative weights
-    and inputs when W bounds the result, since every partial sum taken
-    below is a sub-sum of it.  A list of n entries is an int below
-    2^(W*n); :meth:`add` and the steps keep to the length they are given.
+    Exact only while every entry on the way lies in [0, 2^W) (in every
+    lane): a slot that overflows carries into the next.  That holds for
+    non-negative weights and inputs when W bounds the result, since every
+    partial sum taken below is a sub-sum of it.  A list of n entries is an
+    int below 2^(W*n); :meth:`add` and the steps keep to the length they
+    are given.
     """
 
     zero = 0
@@ -312,15 +347,10 @@ class Slots:
     def pack(self, co):
         return _pack(co, self.wb)
 
-    def unpack(self, co, n):
-        """The first n entries as a list."""
-        return _unpack(co, n, self.wb)
-
     def rung(self, co, P, Q, D, c, e, f, N):
         """:func:`rung` on packed slots: the x and y terms are a small-int
-        multiply and a shifted add, and 1/(1 - D^f q^f) is the doubling
-        product of (1 + D^(f 2^i) q^(f 2^i)) over f 2^i <= N - c, each
-        factor cut at the N - c + 1 slots of the result."""
+        multiply and a shifted add, and 1/(1 - D^f q^f) is :meth:`div1`,
+        cut at the N - c + 1 slots of the result."""
         n = N - c
         if n < 0:
             return 0
@@ -331,9 +361,34 @@ class Slots:
         if Q and e <= n:
             w = Q * D ** (c + e - 1)
             out = (out + ((co if w == 1 else co * w) << W * e)) & mask
-        while f <= n:  # D^f is formed only here, as in rung
-            out = (out + ((out if D == 1 else out * D**f) << W * f)) & mask
-            f *= 2
+        if f <= n:  # D^f is formed only here, as in rung
+            out = self.div1(out, f, D**f, n)
+        return out
+
+    def div1(self, co, e, v, N):
+        """co / (1 - v q^e) mod q^(N+1) for v >= 0, as the doubling product
+        of (1 + v^(2^i) q^(e 2^i)) over e 2^i <= N, each factor cut at the
+        N + 1 slots of the result, of which every partial product is a
+        sub-sum."""
+        mask = (1 << self.W * (N + 1)) - 1
+        while e <= N:
+            co = (co + ((co if v == 1 else co * v) << self.W * e)) & mask
+            e, v = 2 * e, v * v
+        return co
+
+    def progression(self, co, u, s, m, power, D, N):
+        """:func:`progression` on packed slots, for u * power >= 0: each
+        Horner term is a :meth:`rung` and, for power -1, a :meth:`div1`,
+        so every partial is a sub-sum of the result, as in the ladder."""
+        if u * power < 0:
+            raise ValueError(f"packed progression products take u * power >= 0, "
+                             f"not u = {u!r}, power = {power!r}")
+        out = co
+        for k, n, c, e in _horner_terms(u, s, m, power, N):
+            step = self.rung(out, power * u, 0, D, c, 0, m * k, n)  # from q^c on
+            if power < 0:
+                step = self.div1(step, e, -u * D ** (e - 1), n - c)
+            out = self.head(co, n + 1) + (step << self.W * c)
         return out
 
     def add(self, out, off, seg):
@@ -342,6 +397,26 @@ class Slots:
 
     def head(self, co, n):
         return co & ((1 << self.W * n) - 1)
+
+    @staticmethod
+    def scale(co, w):
+        return co if w == 1 else co * w
+
+    def keep(self, co, pattern, n):
+        """The n slots of co masked by the little-endian bytes of ``pattern``."""
+        return co & int.from_bytes(pattern * n, "little")
+
+    @staticmethod
+    def replace(co, sel, out):
+        """co with its part sel, taken by :meth:`keep`, replaced by out."""
+        return co - sel + out
+
+    def tobytes(self, co, n):
+        return co.to_bytes(self.wb * n, "little")
+
+    @staticmethod
+    def frombytes(buf):
+        return int.from_bytes(buf, "little")
 
 
 def scaled_weights(x, y):

@@ -65,7 +65,12 @@ def positive_order(N) -> int:
 
 
 def nonneg_weight(v):
-    """The weight v as an exact rational, which must be non-negative."""
+    """The weight v as an exact rational, which must be non-negative: an
+    int, a rational or a "p/q" string.  A float is refused, since its binary
+    value (2^-55 times an int for 0.1) is rarely the weight meant, and so
+    is a bool."""
+    if isinstance(v, (bool, float)):
+        raise InvalidParameterError(f"weights must be exact rationals, not {v!r}")
     v = rational(v)
     if v < 0:
         raise InvalidParameterError("weights must be non-negative")

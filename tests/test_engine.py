@@ -27,7 +27,7 @@ from qbias import (
 import qbias.kernel
 import qbias.oracle
 import qbias.engine as engine
-from qbias.engine import _gf_graded, _prefactor_graded, _total_graded
+from qbias.engine import _gf_graded, _gf_ladder, _prefactor_graded, _total_graded
 from qbias.kernel import (Lists, Slots, add_shifted, div1, mul_trunc, progression, scaled_weights,
                           ungrade)
 from reference import add, shift
@@ -215,8 +215,9 @@ def dense_graded(spec, N):
 def test_gf_graded_partners_match_single_runs_and_dense_sum(N, slot_bits, monkeypatch):
     monkeypatch.setattr(engine, "_SLOT_BITS", slot_bits)
     forbid_mul_trunc(monkeypatch)
-    # one call over every ordered pair of a group, given out of order: each
-    # class builds one ladder, each partner's Horner pass stops at its own
+    # one call over every ordered pair of a group, given out of order: the
+    # smallest class builds the one ladder, every other class moves its rows
+    # up, each partner's Horner pass stops at its own
     # cut N - cum_n, and at every weight each class factor acts once on the
     # masked lanes of the pairs that avoid it.  m = 2 (no class factor), m > N,
     # partners b > N/2 and b > N, x = 0 (the quadratic cut), y = 0 and
@@ -256,7 +257,7 @@ def test_gf_graded_lanes_fill_their_width(N, slot_bits, monkeypatch):
         forms.clear()
         together = _gf_graded(pairs, m, P, Q, D, N)
         [form] = forms
-        assert form.W == 8 * -(-K // 8) if slot_bits else form is Lists, xy
+        assert form.W == 8 * -(-K // 8) if slot_bits else isinstance(form, Lists), xy
         assert [max(together[pair]).bit_length() for pair in pairs] == [K] * len(pairs), xy
         for (a, b), graded in together.items():
             assert graded == _gf_graded([(a, b)], m, P, Q, D, N)[a, b], (b, xy)
@@ -264,42 +265,71 @@ def test_gf_graded_lanes_fill_their_width(N, slot_bits, monkeypatch):
             assert ungrade(graded, D) == dense.coeffs, (b, xy)
 
 
+def spy_lane_passes(monkeypatch):
+    # (slots, args, result) of each class-loop pass: slots is the
+    # kernel.Slots of a packed pass, None for one on a list of lane ints
+    # (kernel.Lists); the total and the prefactor call the module's
+    # progression, which this leaves alone
+    passes = []
+    packed, lists = Slots.progression, Lists.progression
+
+    def in_slots(self, *args):
+        out = packed(self, *args)
+        passes.append((self, args, out))
+        return out
+
+    def in_lists(*args):
+        out = lists(*args)
+        passes.append((None, args, out))
+        return out
+
+    monkeypatch.setattr(Slots, "progression", in_slots)
+    monkeypatch.setattr(Lists, "progression", staticmethod(in_lists))
+    return passes
+
+
+def lanes_of(co, k, wb, N):
+    # the k lanes of wb bytes in each of the N + 1 entries of a class-loop
+    # list, packed in one int or one int an entry
+    S = k * wb
+    if isinstance(co, int):
+        assert 0 <= co < 1 << 8 * S * (N + 1)
+        buf = co.to_bytes(S * (N + 1), "little")
+    else:
+        assert len(co) == N + 1
+        buf = b"".join(v.to_bytes(S, "little") for v in co)
+    return [[int.from_bytes(buf[n * S + i * wb:n * S + (i + 1) * wb], "little") for n in range(N + 1)]
+            for i in range(k)]
+
+
 def test_group_lanes_rise_to_their_final_values(monkeypatch):
     # each class factor g_r = (-yq^r;q^m)_inf / (xq^r;q^m)_inf has
     # non-negative coefficients and constant term 1, so after each one a
     # pair's lane lies between its previous value and its final value, the
-    # graded p_n(a,b,m;x,y) < 2^W: the lanes unpack exactly between classes.
+    # graded p_n(a,b,m;x,y) < 2^W: the lanes split exactly between classes.
     # Lane i holds the i-th pair of the result; the lanes of the pairs that
     # hold r are masked out of g_r's passes and left as they were.  Narrow
-    # weights, x in {0, 1} with integer y, take the same loop
-    passes = []  # (r, lanes entering g_r, lanes after it) of each class
-    real = engine.progression
-
-    def spy(co, u, s, m, power, D, N):
-        out = real(co, u, s, m, power, D, N)
-        if power > 0:
-            passes.append((s, co))
-        else:
-            passes[-1] += (out,)
-        return out
-
-    monkeypatch.setattr(engine, "progression", spy)
+    # weights, x in {0, 1} with integer y, take the same loop; the narrow
+    # groups of m = 3 run it packed, the rest on a list of lane ints
+    passes = spy_lane_passes(monkeypatch)
     N = 60
+    seen = set()
     for m in (3, 5, 7):
         pairs = [(a, b) for a in range(1, m + 1) for b in range(1, m + 1) if a != b]
         for xy in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0), (rational(5, 2), 0), (1, 1),
                    (0, 1)]:
             P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
-            slots = Slots(-(-max(_total_graded(P, Q, D, N)).bit_length() // 8))
-            top = 1 << slots.W
+            wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
+            top = 1 << 8 * wb
             passes.clear()
             result = _gf_graded(pairs, m, P, Q, D, N)
             keys, k = list(result), len(result)
             chains = {}  # each pair's lane before its first class and after each
-            for r, before, after in passes:
-                assert len(before) == len(after) == N + 1, (r, m, xy)
-                before, after = ([list(lane) for lane in zip(*(slots.unpack(v, k) for v in co))]
-                                 for co in (before, after))
+            for (slots, first, _), (_, second, after) in zip(passes[::2], passes[1::2]):
+                seen.add(slots is not None)
+                r = first[2]
+                assert first[3:] == (m, 1, D, N) and second[2:] == (r, m, -1, D, N), (m, xy)
+                before, after = lanes_of(first[0], k, wb, N), lanes_of(after, k, wb, N)
                 for key, u, w in zip(keys, before, after):
                     if r in key:
                         assert not any(u) and not any(w), (key, r, m, xy)
@@ -313,6 +343,31 @@ def test_group_lanes_rise_to_their_final_values(monkeypatch):
                 for before, after in zip(chain, chain[1:]):
                     assert all(0 <= u <= v <= w < top for u, v, w in zip(before, after, final)), \
                         (a, b, m, xy)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("slot_bits", [math.inf, 0], ids=["slots", "lists"])
+def test_class_rows_are_the_smallest_class_rows_moved_up(slot_bits):
+    # A_k = q^{ak} L_k and L_k does not depend on a, so class a's row k is
+    # class lo's moved up (a - lo) k places: lo's tail cut at q^N and graded
+    # by D^((a - lo) k), the rows class a would build itself, in either
+    # form.  D = 1, 2, 3, x = 0 (rows spaced quadratically), y = 0, m > N
+    # and classes whose rows pass q^N sooner, or at once
+    N = 40
+    weights = [(1, 1), (2, 1), (0, 1), (0, rational(3, 2)), (rational(3, 2), rational(1, 2)),
+               (rational(1, 3), rational(2, 3)), (rational(5, 2), 0)]
+    for xy in weights:
+        P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
+        wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
+        form = Slots(wb) if 8 * wb <= slot_bits else Lists(wb)
+        for m in (2, 3, 7, N + 2):
+            for lo in (1, 2, 5):
+                rows = _gf_ladder(lo, m, P, Q, D, N, form)
+                for a in (lo + 1, lo + 2, lo + 7, N, N + 1):
+                    moved = [engine._class_row(row, k, a - lo, D, N, form)
+                             for k, row in enumerate(rows, 1)]
+                    want = _gf_ladder(a, m, P, Q, D, N, form)
+                    assert moved == want + [None] * (len(rows) - len(want)), (xy, m, lo, a)
 
 
 def test_prefactor_is_bounded_by_the_total():
@@ -348,14 +403,12 @@ def test_symmetric_closed_forms_match_the_gf_at_depth(N, slot_bits, monkeypatch)
 
 def test_factor_path_pass_count(monkeypatch):
     # every pair of a group takes 2 passes per class r <= min(m, N) outside
-    # it that some pair of its group avoids, on packed lanes: none at m = 2,
-    # 2 (N - 2) for one pair (and its swap) with m > N, and 2 m for a whole
-    # group.  A pair with a > N has T_0 = 0 and takes none.  A lone pair is
-    # a group of one lane and takes the same passes, at every weight; with
-    # the total cached, its width W costs no pass either
-    calls = []
-    real = engine.progression
-    monkeypatch.setattr(engine, "progression", lambda *args: calls.append(args) or real(*args))
+    # it that some pair of its group avoids, on its lanes, packed or not:
+    # none at m = 2, 2 (N - 2) for one pair (and its swap) with m > N, and
+    # 2 m for a whole group.  A pair with a > N has T_0 = 0 and takes none.
+    # A lone pair is a group of one lane and takes the same passes, at every
+    # weight
+    passes = spy_lane_passes(monkeypatch)
     N = 40
     every = [(a, b) for a in range(1, 8) for b in range(1, 8) if a != b]
     cases = [(7, [(2, 5)], 2 * 5), (7, [(7, 1)], 2 * 5), (2, [(1, 2)], 0),
@@ -365,11 +418,31 @@ def test_factor_path_pass_count(monkeypatch):
              (N + 9, [(1, 2), (2, 1)], 2 * (N - 2))]
     for x, y in [(rational(3, 2), rational(1, 2)), (2, 1), (3, 0), (1, 1), (0, 1)]:
         P, Q, D = scaled_weights(rational(x), rational(y))
-        _total_graded(P, Q, D, N)
-        for m, pairs, passes in cases:
-            calls.clear()
+        for m, pairs, count in cases:
+            passes.clear()
             _gf_graded(pairs, m, P, Q, D, N)
-            assert len(calls) == passes, (x, y, m, pairs)
+            assert len(passes) == count, (x, y, m, pairs)
+
+
+def test_class_loop_form_follows_lane_width(monkeypatch):
+    # the class loop packs its K lanes of W bits into one int when K W is at
+    # most _SLOT_BITS, with K W-bit slots an entry, and keeps a list of lane
+    # ints otherwise: packed for a compare's two lanes at the narrow deep
+    # orders, a list for x = 2 at N = 800 and for a whole m = 6 sweep group
+    passes = spy_lane_passes(monkeypatch)
+    six = [(a, b) for a in range(1, 7) for b in range(1, 7) if a != b]
+    cases = [((0, 1), [(1, 3), (3, 1)], 6, 2000, True), ((1, 1), [(2, 5), (5, 2)], 6, 800, True),
+             ((2, 1), [(2, 5), (5, 2)], 6, 800, False), ((1, 1), six, 6, 150, False),
+             ((rational(3, 2), 1), six, 6, 150, False)]
+    for xy, pairs, m, N, packed in cases:
+        P, Q, D = scaled_weights(rational(xy[0]), rational(xy[1]))
+        wb = -(-max(_total_graded(P, Q, D, N)).bit_length() // 8)
+        assert (8 * len(pairs) * wb <= engine._SLOT_BITS) == packed, (xy, N)
+        passes.clear()
+        _gf_graded(pairs, m, P, Q, D, N)
+        assert passes, (xy, N)
+        for slots, _, _ in passes:
+            assert (slots.W == 8 * len(pairs) * wb) if packed else slots is None, (xy, N)
 
 
 @pytest.mark.parametrize("N", [0, 1, 13, 300])
@@ -615,6 +688,20 @@ def test_orders_refuse_bools():
                      lambda: bias_series_dp(spec, N), lambda: compare_bias(spec, N)):
             with pytest.raises(InvalidParameterError):
                 call()
+
+
+def test_weights_refuse_bools_and_floats():
+    # True would count as the weight 1 and 0.5 as one half, but 0.1 is the
+    # binary fraction 3602879701896397/2^55, which made D = 2^55; ints,
+    # rationals and "p/q" strings stay exact
+    for x, y in [(0.5, 1), (1, True), (False, 1), (0.1, 1), (1, 2.0)]:
+        for call in (lambda: BiasSpec(1, 2, 3, x, y), lambda: total_weighted_series(x, y, 3),
+                     lambda: qbias.oracle.oracle_total(x, y, 3)):
+            with pytest.raises(InvalidParameterError):
+                call()
+    spec = BiasSpec(1, 2, 3, "3/2", rational(1, 2))
+    assert (spec.x, spec.y) == (rational(3, 2), rational(1, 2))
+    assert total_weighted_series(2, "1/2", 3).coeffs == total_weighted_series(2, rational(1, 2), 3).coeffs
 
 
 def test_compare_bias_matches_lone_runs():

@@ -1,6 +1,7 @@
 """The truncated list multiply against naive loops; the ladder step's
 offset convention, on lists and on packed slots; the bit-lane packing
-under a linear factor; the progression products and the sparse Euler,
+under a linear factor; the packed class-loop passes against the list
+passes; the progression products and the sparse Euler,
 Jacobi and division passes against dense q-product tables; the fast paths
 of the sparse division and the unit steps against their plain loops, type
 by type; Gauss's identity for phi(-q^m)."""
@@ -133,6 +134,11 @@ def test_mul_trunc_never_packs_fractions():
 # -- the ladder step returns its result from q^c on ---------------------------
 
 
+def unpack(slots, v, n):
+    # the first n slots of a packed int, as the gf reads its lanes back
+    return kernel.Lists(slots.wb).frombytes(slots.tobytes(v, n))
+
+
 def dense_rung(co, P, Q, D, c, e, f, N):
     # co * q^c (P/D + (Q/D) q^e) / (1 - q^f) on a full D^n-graded list
     out = [0] * (N + 1)
@@ -199,7 +205,7 @@ def test_slots_rung_matches_the_list_step(D):
         want = rung(co, P, Q, D, c, e, f, n)
         slots = kernel.Slots(-(-max(co + want).bit_length() // 8))
         got = slots.rung(slots.pack(co), P, Q, D, c, e, f, n)
-        assert slots.unpack(got, len(want)) == want, (co, P, Q, c, e, f, n)
+        assert unpack(slots, got, len(want)) == want, (co, P, Q, c, e, f, n)
 
 
 @pytest.mark.parametrize("K", [1, 3, 8, 64])
@@ -221,7 +227,7 @@ def test_packed_lanes_take_a_linear_factor_exactly(K):
         if k == 1:
             assert packed == entering[0]
         kernel.div1(packed, 1, 1, N)
-        assert [list(lane) for lane in zip(*(slots.unpack(v, k) for v in packed))] == lanes[:k], k
+        assert [list(lane) for lane in zip(*(unpack(slots, v, k) for v in packed))] == lanes[:k], k
         chosen = range(0, k, 2)
         mask = sum(((1 << slots.W) - 1) << slots.W * i for i in chosen)
         sel = [v & mask for v in packed]
@@ -232,7 +238,46 @@ def test_packed_lanes_take_a_linear_factor_exactly(K):
         kernel.div1(out, 1, 1, N)
         packed = [v - s + t for v, s, t in zip(packed, sel, out)]
         want = [[0] + lane[:N] if i in chosen else lane for i, lane in enumerate(lanes[:k])]
-        assert [list(lane) for lane in zip(*(slots.unpack(v, k) for v in packed))] == want, k
+        assert [list(lane) for lane in zip(*(unpack(slots, v, k) for v in packed))] == want, k
+
+
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_slots_progression_and_doubling_match_the_list_passes(D):
+    # the packed class-loop passes against progression and div1 on
+    # non-negative lists: u = 0 (P = 0 or Q = 0), s > N, both powers, u * D^(e-1)
+    # past one byte; slots of the byte-rounded width of the widest entry
+    # read or made.  Two lanes side by side in one slot take each pass
+    # exactly as they do alone
+    N = 30
+    seeds = [[1] + [0] * N, [3 * j + 1 for j in range(N + 1)], [j % 3 for j in range(N + 1)]]
+    for co in seeds:
+        for power, us in ((1, (0, 1, 5)), (-1, (0, -1, -3))):
+            for u in us:
+                for s, m in ((1, 1), (2, 3), (5, 2), (N, 4), (N + 1, 1)):
+                    want = progression(co, u, s, m, power, D, N)
+                    again = progression(want, u, s, m, power, D, N)
+                    wb = -(-max(co + want + again).bit_length() // 8)
+                    slots = kernel.Slots(wb)
+                    got = slots.progression(slots.pack(co), u, s, m, power, D, N)
+                    assert unpack(slots, got, N + 1) == want, (co, u, s, m, power)
+                    pair = kernel.Slots(2 * wb)
+                    lanes = slots.pack([v for w in zip(co, want) for v in w])  # co, want per entry
+                    got = unpack(slots, pair.progression(lanes, u, s, m, power, D, N), 2 * (N + 1))
+                    assert got[::2] == want and got[1::2] == again, (co, u, s, m, power)
+        for e in (1, 2, 7, N, N + 1):
+            for v in (0, 1, 2, D**e):
+                want = list(co)
+                kernel.div1(want, e, v, N)
+                slots = kernel.Slots(-(-max(want).bit_length() // 8))
+                assert unpack(slots, slots.div1(slots.pack(co), e, v, N), N + 1) == want, (e, v)
+
+
+@pytest.mark.parametrize("u, power", [(1, -1), (-1, 1), (-5, 1), (3, -1)])
+def test_slots_progression_refuses_negative_terms(u, power):
+    # u * power < 0 puts negative terms in the Horner partials, which the
+    # slots cannot hold
+    with pytest.raises(ValueError):
+        kernel.Slots(4).progression(1, u, 1, 1, power, 1, 10)
 
 
 @pytest.mark.parametrize("power", [2, -2, 0, 3])
